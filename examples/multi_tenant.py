@@ -86,7 +86,7 @@ def online_token_bucket():
           "quota 6 outstanding ===")
     for i in range(8):
         rid = gateway.submit("agg-variant-00", prompt_len=128, output_len=64,
-                             tenant_id="metered")
+                             tenant_id="metered").id
         print(f"request {rid}: {gateway.decision(rid).value}")
     result = gateway.run_until_drained()
     stats = gateway.controller.stats["metered"]

@@ -46,7 +46,8 @@ def main():
     def submit_turn(variant, turns, arrival_s=None):
         prompt = int(rng.integers(16, 256))
         output = int(rng.integers(8, 128))
-        rid = gateway.submit(variant, prompt, output, arrival_s=arrival_s)
+        rid = gateway.submit(variant, prompt, output,
+                             arrival_s=arrival_s).id
         turns_left[rid] = (variant, turns)
 
     # session start: every user opens a conversation with their variant

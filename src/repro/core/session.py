@@ -1,8 +1,7 @@
 """Fluent serving-session builder for the :class:`~repro.core.DeltaZip` facade.
 
-The at-scale entry point used to be one monolithic ``DeltaZip.simulate``
-call that required a fully pre-materialized offline trace.  The builder
-splits configuration from execution and exposes *both* workload paths::
+The builder splits configuration from execution and exposes *both*
+workload paths::
 
     session = (dz.session(engine="deltazip")
                  .serving(LLAMA_13B)
@@ -11,7 +10,7 @@ splits configuration from execution and exposes *both* workload paths::
                  .build())
 
     session.replay(trace)                      # offline trace replay
-    rid = session.submit("vicuna", 128, 64)    # ... or online submission
+    handle = session.submit("vicuna", 128, 64)  # ... or online submission
     session.run_until_drained()
 
 Scaling out is one more builder call: ``.with_replicas(4)`` serves through
@@ -44,8 +43,7 @@ shedding); the session then serves through a
 
 Any engine registered in :data:`~repro.serving.base.ENGINES` can back a
 session; registered artifacts contribute their *measured* compression
-ratios to the simulated swap sizes, exactly as the legacy ``simulate``
-path did.
+ratios to the simulated swap sizes.
 """
 
 from __future__ import annotations
@@ -347,9 +345,9 @@ class ServingSession:
 
         The handle streams this request's tokens (``for t, n in
         handle.tokens``), exposes ``status``/``record()``, supports
-        ``cancel(at_s=...)``, and still coerces to the integer request id
-        for pre-handle call sites.  ``deadline_s`` (seconds from
-        arrival) bounds the request's completion.
+        and ``cancel(at_s=...)``; its ``id`` is the integer request id.
+        ``deadline_s`` (seconds from arrival) bounds the request's
+        completion.
         """
         self._ensure_registered(model_id)
         return self.gateway.submit(model_id, prompt_len, output_len,
@@ -358,11 +356,11 @@ class ServingSession:
 
     def cancel(self, request_id, at_s: Optional[float] = None) -> None:
         """Cancel a submitted request (by handle or id) at ``at_s``."""
-        self.gateway.cancel(int(request_id), at_s=at_s)
+        self.gateway.cancel(request_id, at_s=at_s)
 
     def handle(self, request_id):
         """The :class:`RequestHandle` for a submitted request id."""
-        return self.gateway.handle(int(request_id))
+        return self.gateway.handle(request_id)
 
     def step(self) -> bool:
         return self.gateway.step()
@@ -374,7 +372,7 @@ class ServingSession:
         return self.gateway.result()
 
     def replay(self, trace: Trace, cancels=None) -> ServingResult:
-        """Replay an offline trace (bit-identical to legacy simulate).
+        """Replay an offline trace.
 
         ``cancels`` optionally schedules client cancellations as
         ``(request_id, at_s)`` pairs (see

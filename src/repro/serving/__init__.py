@@ -1,7 +1,7 @@
 """DeltaZip serving engine, baselines, and serving metrics (paper §5-6)."""
 
 from .base import (Admission, ENGINES, EngineConfig, ServingEngine,
-                   TimelineEvent, create_engine, register_engine)
+                   create_engine, register_engine)
 from .baselines import DedicatedEngine, VLLMSCBEngine
 from .cluster import (Autoscaler, AutoscalerConfig, AutoscalerSample,
                       BALANCERS, ClusterGateway, ConversationAffinityBalancer,
@@ -56,7 +56,7 @@ __all__ = [
     "InterconnectModel", "KvTransferPlan", "plan_kv_transfer",
     "DeploymentCost", "GPU_HOURLY_USD", "compare_deployments",
     "cost_per_tenant", "deployment_cost",
-    "DeltaZipEngine", "EngineConfig", "TimelineEvent",
+    "DeltaZipEngine", "EngineConfig",
     "EngineStats", "ServingResult", "slo_attainment", "summarize",
     "UNTENANTED", "jain_fairness_index", "slo_attainment_by_tenant",
     "summarize_by_tenant",

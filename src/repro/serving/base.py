@@ -40,8 +40,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Type
 
 from ..hardware.cluster import GPUNode
-from ..sim import (Arrival, Cancel, Event, EventQueue, IterationDone,
-                   PhaseTransition, new_clock)
+from ..sim import (Arrival, Cancel, Event, EventQueue, FanOutHook,
+                   IterationDone, PhaseTransition, TimelineSet, new_clock)
 from ..workload.spec import Trace, TraceRequest
 from .metrics import EngineStats, ServingResult
 from .model_manager import ArtifactKind, ModelManager
@@ -51,8 +51,9 @@ from .streaming_metrics import RecordPolicy, StreamingMetrics
 
 __all__ = [
     "WORKSPACE_FRACTION", "PREEMPT_SWAP_S", "FULL_MODEL_LOADER_FACTOR",
-    "KV_RESERVE_FRACTION", "EngineConfig", "TimelineEvent", "Admission",
-    "ServingEngine", "ENGINES", "register_engine", "create_engine",
+    "KV_RESERVE_FRACTION", "EngineConfig", "Admission",
+    "ServingEngine", "CompositeEngine", "ENGINES", "register_engine",
+    "create_engine",
 ]
 
 # Shared memory/timing constants (previously duplicated privately between
@@ -135,18 +136,6 @@ class EngineConfig:
 
 
 @dataclass
-class TimelineEvent:
-    """Per-request phase spans for the Fig 16 breakdown."""
-
-    request_id: int
-    model_id: str
-    arrival_s: float
-    queue_until_s: float
-    loading_until_s: float
-    finish_s: float
-
-
-@dataclass
 class Admission:
     """What one engine iteration admits, and the load time it paid."""
 
@@ -190,7 +179,6 @@ class ServingEngine:
         self.manager = manager
         self.node = node
         self.config = engine_config
-        self.collect_timeline = False
         self.on_token: Optional[TokenCallback] = None
         self.on_finish: Optional[FinishCallback] = None
         self.on_event: Optional[EventCallback] = None
@@ -244,7 +232,6 @@ class ServingEngine:
         self._n_retired = 0
         self.running: List[ServingRequest] = []
         self.finished: List[ServingRequest] = []
-        self.timeline: List[TimelineEvent] = []
         self.stats = EngineStats()
         # retire-time streaming sink: sketches/counters always on, record
         # retention per policy; under SAMPLE_K/DROP terminal requests are
@@ -319,6 +306,20 @@ class ServingEngine:
         replayed ahead of time with future arrivals don't count until the
         clock reaches them (an O(log n) kernel count, not a heap scan)."""
         return self.unfinished - self._pending.count_after(self.clock)
+
+    @property
+    def next_action_s(self) -> Optional[float]:
+        """When this engine next acts (its :class:`~repro.sim.TimelineSet`
+        key): the clock while it has arrived work, its next arrival or
+        live cancel while it has only future work, None when it is idle
+        or past ``max_sim_seconds``."""
+        if self.unfinished == 0 or \
+                self.clock >= self.config.max_sim_seconds:
+            return None
+        if self.running or self.backlog > 0:
+            return self.clock
+        wake = self._next_wake()
+        return None if wake is None else max(self.clock, wake)
 
     def utilization(self) -> Dict[str, float]:
         """Instantaneous occupancy gauges for the telemetry layer.
@@ -450,14 +451,6 @@ class ServingEngine:
                 n_running=len(self.running), n_admitted=len(admitted),
                 n_finished=len(newly_done), source=self.name))
 
-        if self.collect_timeline:
-            for req in newly_done:
-                self.timeline.append(TimelineEvent(
-                    request_id=req.request_id, model_id=req.model_id,
-                    arrival_s=req.arrival_s,
-                    queue_until_s=req.first_scheduled_s,
-                    loading_until_s=req.first_scheduled_s + req.loading_s,
-                    finish_s=req.finish_s))
         if self.on_finish is not None:
             for req in newly_done:
                 self.on_finish(req, self.clock)
@@ -487,22 +480,18 @@ class ServingEngine:
             makespan = stream.max_finish_s - stream.min_arrival_s
         else:
             makespan = self.clock
-        result = ServingResult(
+        return ServingResult(
             engine=self.name, records=records,
             makespan_s=max(makespan, 1e-9),
             stats=self.stats if self.include_stats else None,
             config=self.result_config(), stream=stream)
-        if self.collect_timeline:
-            result.config["timeline"] = list(self.timeline)
-        return result
 
     # ------------------------------------------------------------------ #
     # offline replay (the legacy entry point)
     # ------------------------------------------------------------------ #
-    def run(self, trace: Trace, collect_timeline: bool = False) -> ServingResult:
+    def run(self, trace: Trace) -> ServingResult:
         """Replay a pre-materialized trace: submit everything, drain."""
         self.reset()
-        self.collect_timeline = collect_timeline
         for t in trace:
             self.submit(t)
         self.run_until_drained()
@@ -640,6 +629,56 @@ class ServingEngine:
         if self.on_finish is not None:
             self.on_finish(req, self.clock)
         return req
+
+
+class CompositeEngine(ServingEngine):
+    """An engine that serves through child engines in a
+    :class:`~repro.sim.TimelineSet` (``timelines``, built by the
+    subclass's ``_reset_engine``): its clock is their frontier, its next
+    action their least key, and each step advances the least-keyed child
+    instead of running the template loop."""
+
+    timelines: TimelineSet
+    # assigning a hook re-wires the children (the subclass's ``_wire``)
+    on_token = FanOutHook()
+    on_finish = FanOutHook()
+    on_event = FanOutHook()
+    emit_phases = FanOutHook()
+
+    @property
+    def clock(self) -> float:
+        return self.timelines.frontier
+
+    @clock.setter
+    def clock(self, value: float) -> None:
+        # outer layers re-seat idle engines (replica spawn, floor bumps):
+        # lift every child that lags, never rewind one that leads
+        for child in self.timelines.children:
+            if value > child.clock:
+                child.clock = value
+                self.timelines.touch(child)
+
+    @property
+    def next_action_s(self) -> Optional[float]:
+        return self.timelines.least_key()
+
+    def step(self) -> bool:
+        return self.timelines.step()
+
+    def schedule_cancel(self, request_id: int, at_s: float,
+                        reason: str = "cancel") -> None:
+        if self.timelines.owner(request_id) is None:
+            raise KeyError(f"unknown request {request_id}")
+        self.timelines.cancel(request_id, at_s, reason)
+
+    def _apply_cancel(self, request_id: int,
+                      reason: str) -> Optional[ServingRequest]:
+        child = self.timelines.owner(request_id)
+        if child is None:
+            return None
+        aborted = child.abort(request_id, reason)
+        self.timelines.touch(child)
+        return aborted
 
 
 # ------------------------------------------------------------------ #

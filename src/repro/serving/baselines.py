@@ -19,9 +19,10 @@ from typing import Dict, List, Optional, Set
 
 from ..hardware.cluster import GPUNode
 from ..hardware.memory import Tier
+from ..sim import TimelineSet
 from .base import (FULL_MODEL_LOADER_FACTOR, KV_RESERVE_FRACTION,
-                   WORKSPACE_FRACTION, Admission, EngineConfig,
-                   ServingEngine, register_engine)
+                   WORKSPACE_FRACTION, Admission, CompositeEngine,
+                   EngineConfig, ServingEngine, register_engine)
 from .costs import IterationCostModel
 from .metrics import ServingResult
 from .model_manager import ArtifactKind, ModelManager
@@ -171,7 +172,7 @@ class VLLMSCBEngine(ServingEngine):
 
 
 @register_engine
-class DedicatedEngine(ServingEngine):
+class DedicatedEngine(CompositeEngine):
     """Upper-bound reference: every variant owns its own TP group.
 
     No swapping, no cross-variant queueing — just per-variant continuous
@@ -179,8 +180,11 @@ class DedicatedEngine(ServingEngine):
     DeltaZip targets the regime where dedicating GPUs is too expensive).
 
     Implemented as a fan-out over per-variant :class:`VLLMSCBEngine`
-    groups (each preloaded with its one model); ``submit``/``step``
-    delegate, so the engine still speaks the online protocol.
+    groups (each preloaded with its one model) held in a
+    :class:`~repro.sim.TimelineSet`: ``submit`` routes to the variant's
+    group, each ``step`` advances the group with the least next-action
+    time, and ``clock`` is the groups' frontier — so the engine still
+    speaks the online protocol.
     """
 
     name = "dedicated"
@@ -204,8 +208,10 @@ class DedicatedEngine(ServingEngine):
     # protocol overrides (delegation instead of the template loop)
     # ------------------------------------------------------------------ #
     def _reset_engine(self) -> None:
+        # the per-variant groups, the request -> group owner map, the
+        # frontier
+        self.timelines = TimelineSet(wire=self._wire)
         self._groups: Dict[str, VLLMSCBEngine] = {}
-        self._request_group: Dict[int, VLLMSCBEngine] = {}
 
     def _group_for(self, model_id: str) -> VLLMSCBEngine:
         group = self._groups.get(model_id)
@@ -213,79 +219,34 @@ class DedicatedEngine(ServingEngine):
             group = VLLMSCBEngine(self.manager, self.node, self.config,
                                   self.max_batch_requests, preload=True)
             self._groups[model_id] = group
-        self._sync_hooks()
+            self.timelines.add(group, model_id)
         return group
 
-    def _sync_hooks(self) -> None:
-        # groups must see callback (re)assignments made after creation —
-        # e.g. a gateway token listener registered mid-session.  Under a
-        # releasing record policy the finish path also drops the
-        # request→group routing entry, keeping this map O(active).
-        finish = self.on_finish if self._keep_requests \
-            else self._fanout_finish
-        for group in self._groups.values():
-            group.on_token = self.on_token
-            group.on_finish = finish
-            group.on_event = self.on_event
+    def _wire(self, group: VLLMSCBEngine) -> None:
+        group.on_token = self.on_token
+        group.on_finish = self._group_finish
+        group.on_event = self.on_event
 
-    def _fanout_finish(self, req: ServingRequest, clock_s: float) -> None:
-        self._request_group.pop(req.request_id, None)
-        cb = self.on_finish
-        if cb is not None:
-            cb(req, clock_s)
+    def _group_finish(self, req: ServingRequest, clock_s: float) -> None:
+        # every terminal transition (finish or cancel) lands here, which
+        # keeps the base class's unfinished count exact; a releasing
+        # record policy also drops the request's owner entry
+        self._n_retired += 1
+        if not self._keep_requests:
+            self.timelines.release(req.request_id)
+        if self.on_finish is not None:
+            self.on_finish(req, clock_s)
 
     def submit(self, request) -> ServingRequest:
         self._n_submitted += 1
         group = self._group_for(request.model_id)
-        self._request_group[request.request_id] = group
-        return group.submit(request)
+        req = group.submit(request)
+        self.timelines.assign(request.request_id, group)
+        return req
 
     def lookup(self, request_id):
-        group = self._request_group.get(request_id)
+        group = self.timelines.owner(request_id)
         return group.lookup(request_id) if group is not None else None
-
-    def schedule_cancel(self, request_id, at_s, reason="cancel"):
-        group = self._request_group.get(request_id)
-        if group is None:
-            raise KeyError(f"unknown request {request_id}")
-        group.schedule_cancel(request_id, at_s, reason=reason)
-
-    def abort(self, request_id, reason="cancel"):
-        group = self._request_group.get(request_id)
-        return group.abort(request_id, reason=reason) \
-            if group is not None else None
-
-    @property
-    def unfinished(self) -> int:
-        return sum(g.unfinished for g in self._groups.values())
-
-    @property
-    def clock(self) -> float:
-        return max((g.clock for g in self._groups.values()), default=0.0)
-
-    @clock.setter
-    def clock(self, value: float) -> None:
-        # per-group clocks are authoritative; only a fresh zero (a reset
-        # or a spawn onto an idle timeline) is meaningful here
-        if value != 0.0:
-            raise AttributeError("DedicatedEngine clock is derived from "
-                                 "its per-variant groups")
-
-    def step(self) -> bool:
-        self._sync_hooks()
-        progressed = False
-        for model_id in sorted(self._groups):
-            group = self._groups[model_id]
-            if group.unfinished > 0 and \
-                    group.clock < group.config.max_sim_seconds:
-                progressed = group.step() or progressed
-        return progressed
-
-    def run_until_drained(self) -> None:
-        # groups are independent GPU sets: drain each on its own timeline
-        self._sync_hooks()
-        for model_id in sorted(self._groups):
-            self._groups[model_id].run_until_drained()
 
     def build_result(self) -> ServingResult:
         subs = [self._groups[m].build_result()

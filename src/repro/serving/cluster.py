@@ -16,17 +16,15 @@ single node.  This module scales that surface out:
   ``run_until_drained`` / ``replay`` surface as a single gateway, so
   clients are replica-count-agnostic.
 
-Time is owned by the :mod:`repro.sim` kernel: the gateway holds a
-:class:`~repro.sim.SimKernel` whose monotone clock is the cluster
-*frontier* (the least busy-replica clock — the single "now" that
-routing, autoscaling, and the admission layer above all read), keeps
-unrouted trace requests as :class:`~repro.sim.Arrival` events in an
-:class:`~repro.sim.EventQueue`, and schedules the autoscaler as
-:class:`~repro.sim.AutoscalerTick` events instead of polling it after
-every step.  Replicas remain independent discrete-event machines with
-their own local clocks (each models its own hardware timeline); the
-cluster advances the least-advanced replica that has work, so
-per-replica results are identical to running each replica's request
+Time is owned by the :mod:`repro.sim` kernel.  Replicas are independent
+discrete-event machines on their own clocks, held in a
+:class:`~repro.sim.TimelineSet`: each step advances the replica with the
+least next-action time, and the set's *frontier* is the single "now"
+that routing, autoscaling and the admission layer above all read (the
+gateway's :class:`~repro.sim.SimKernel` clock ratchets it monotonically).
+Unrouted requests wait as :class:`~repro.sim.Arrival` events, and the
+autoscaler fires from :class:`~repro.sim.AutoscalerTick` events.
+Per-replica results are identical to running each replica's request
 stream on a standalone gateway regardless of interleaving.
 
 Multi-tenant admission control (token buckets, per-tenant quotas, VTC
@@ -41,14 +39,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import (Callable, Deque, Dict, List, Optional, Sequence, Tuple,
+from typing import (Callable, Deque, Dict, List, Optional, Sequence,
                     Type, Union)
 
 import numpy as np
 
 from ..hardware.cluster import Cluster, GPUNode
 from ..sim import (Arrival, AutoscalerTick, EventQueue, ReplicaDrain,
-                   ReplicaSpawn, SimKernel)
+                   ReplicaSpawn, SimKernel, TimelineSet)
 from ..workload.spec import Trace, TraceRequest
 from .base import ServingEngine
 from .gateway import (CancelSchedule, CompletionCallback, ServingGateway,
@@ -77,15 +75,13 @@ class Replica:
     def __init__(self, replica_id: int, engine: ServingEngine,
                  name: Optional[str] = None, node: Optional[GPUNode] = None,
                  on_token: Optional[TokenCallback] = None,
-                 on_request_complete: Optional[CompletionCallback] = None,
-                 collect_timeline: bool = False):
+                 on_request_complete: Optional[CompletionCallback] = None):
         self.id = replica_id
         self.name = name or f"replica-{replica_id}"
         self.node = node
         self.gateway = ServingGateway(
             engine, on_token=on_token,
-            on_request_complete=on_request_complete,
-            collect_timeline=collect_timeline)
+            on_request_complete=on_request_complete)
         self.draining = False
 
     @property
@@ -103,6 +99,17 @@ class Replica:
     @property
     def backlog(self) -> int:
         return self.gateway.backlog
+
+    @property
+    def next_action_s(self) -> Optional[float]:
+        return self.engine.next_action_s
+
+    def step(self) -> bool:
+        return self.gateway.step()
+
+    def schedule_cancel(self, request_id: int, at_s: float,
+                        reason: str = "cancel") -> None:
+        self.gateway.cancel(request_id, at_s=at_s, reason=reason)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "draining" if self.draining else "active"
@@ -540,10 +547,9 @@ class ClusterGateway:
                  autoscaler: Optional[Autoscaler] = None,
                  on_token: Optional[TokenCallback] = None,
                  on_request_complete: Optional[CompletionCallback] = None,
-                 collect_timeline: bool = False,
                  journal: bool = False,
                  telemetry=None,
-                 _replicas: Optional[List[Replica]] = None):
+                 _fixed: bool = False):
         if n_replicas < 1:
             raise ValueError("need at least one replica")
         # the one clock: kernel time is the cluster frontier, and every
@@ -556,7 +562,6 @@ class ClusterGateway:
         self._cluster = cluster
         self._on_token = on_token
         self._on_complete = on_request_complete
-        self._collect_timeline = collect_timeline
         self._journal = journal
         self._telemetry = None
         self._next_id = 0
@@ -571,18 +576,14 @@ class ClusterGateway:
         self._token_listeners: List[TokenCallback] = []
         self._token_tap = False           # replica token fanout installed?
         self._handles: Dict[int, RequestHandle] = {}
-        self._owner: Dict[int, Replica] = {}       # routed request -> replica
-        self._pending_cancels: Dict[int, Tuple[float, str]] = {}
         self._orphans: List[RequestRecord] = []    # cancelled before routing
         self._recent_records: Deque[RequestRecord] = deque(maxlen=256)
-        self.replicas: List[Replica] = []
+        # the replicas (active and draining), the routed-request owner
+        # map and the frontier; a drained replica retires from here
+        self.timelines: TimelineSet[Replica] = TimelineSet(
+            wire=self._wire, on_drained=self._reap)
         self.retired: List[Replica] = []
-        if _replicas is not None:
-            for replica in _replicas:
-                self.replicas.append(replica)
-                self._next_replica_id = max(self._next_replica_id,
-                                            replica.id + 1)
-        else:
+        if not _fixed:
             if engine_factory is None:
                 raise ValueError(
                     "pass an engine_factory (or use from_engines)")
@@ -610,8 +611,8 @@ class ClusterGateway:
                      names: Optional[Sequence[str]] = None,
                      balancer: Union[str, LoadBalancer] = "least-outstanding",
                      on_token: Optional[TokenCallback] = None,
-                     on_request_complete: Optional[CompletionCallback] = None,
-                     collect_timeline: bool = False) -> "ClusterGateway":
+                     on_request_complete: Optional[CompletionCallback] = None
+                     ) -> "ClusterGateway":
         """A fixed replica set over pre-built (possibly heterogeneous)
         engines; replica *i* is named ``names[i]`` when given."""
         if not engines:
@@ -619,8 +620,7 @@ class ClusterGateway:
         if names is not None and len(names) != len(engines):
             raise ValueError("names must match engines one-to-one")
         gateway = cls(balancer=balancer, on_token=on_token,
-                      on_request_complete=on_request_complete,
-                      collect_timeline=collect_timeline, _replicas=[])
+                      on_request_complete=on_request_complete, _fixed=True)
         for i, engine in enumerate(engines):
             name = names[i] if names is not None else None
             gateway._add_replica(engine, name=name)
@@ -629,6 +629,11 @@ class ClusterGateway:
     # ------------------------------------------------------------------ #
     # replica-set management
     # ------------------------------------------------------------------ #
+    @property
+    def replicas(self) -> List[Replica]:
+        """Active and draining replicas, in spawn order."""
+        return self.timelines.children
+
     def active_replicas(self) -> List[Replica]:
         return [r for r in self.replicas if not r.draining]
 
@@ -678,7 +683,7 @@ class ClusterGateway:
         self.kernel.emit(ReplicaDrain(time=self.kernel.now,
                                       replica_id=replica.id))
         self.balancer.on_removed(replica, self.active_replicas())
-        self._reap_drained()
+        self._reap(replica)
         return replica
 
     def _add_replica(self, engine: ServingEngine,
@@ -686,26 +691,27 @@ class ClusterGateway:
                      node: Optional[GPUNode] = None) -> Replica:
         replica = Replica(self._next_replica_id, engine, name=name,
                           node=node, on_token=self._on_token,
-                          on_request_complete=self._record_completion,
-                          collect_timeline=self._collect_timeline)
+                          on_request_complete=self._record_completion)
         self._next_replica_id += 1
-        self.replicas.append(replica)
+        self.timelines.add(replica, replica.id)
         if self._token_tap:
             replica.gateway.add_token_listener(self._token_fanout)
-        if self._journal or self._telemetry is not None:
-            # publish engine iterations (and cancels) into the journal
-            # and/or onward to the telemetry layer
-            engine.on_event = self.kernel.emit
-        if self._telemetry is not None:
-            engine.emit_phases = True
         self.kernel.emit(ReplicaSpawn(time=self.kernel.now,
                                       replica_id=replica.id))
         return replica
 
-    def _reap_drained(self) -> None:
-        for replica in [r for r in self.replicas
-                        if r.draining and r.unfinished == 0]:
-            self.replicas.remove(replica)
+    def _wire(self, replica: Replica) -> None:
+        # publish engine iterations (and cancels) into the journal
+        # and/or onward to the telemetry layer
+        if self._journal or self._telemetry is not None:
+            replica.engine.on_event = self.kernel.emit
+        if self._telemetry is not None:
+            replica.engine.emit_phases = True
+
+    def _reap(self, replica: Replica) -> None:
+        """Retire a draining replica once it has nothing unfinished."""
+        if replica.draining and replica.unfinished == 0:
+            self.timelines.remove(replica)
             self.retired.append(replica)
             if self._cluster is not None and replica.node is not None:
                 self._cluster.release(replica.node)
@@ -715,21 +721,20 @@ class ClusterGateway:
     # ------------------------------------------------------------------ #
     @property
     def clock(self) -> float:
-        """The most-advanced replica's clock (the makespan frontier)."""
-        return max((r.clock for r in self.replicas + self.retired),
-                   default=0.0)
+        """The most-advanced replica's clock (the makespan frontier),
+        retired replicas included."""
+        return self.timelines.max_clock
 
     @property
     def frontier(self) -> float:
-        """The least busy-replica clock — the point the simulation cannot
-        retreat behind while work is in flight.  Routing and the
-        admission layer above observe *this* "now": unlike :attr:`clock`
-        a single fast replica does not drag it forward.  With no busy
-        replica it falls back to :attr:`clock` (where the cluster last
+        """The replica set's frontier (see :mod:`repro.sim.timelines`):
+        the least replica next-action time.  Routing and the admission
+        layer above observe *this* "now": unlike :attr:`clock` a single
+        fast replica does not drag it forward.  With no replica able to
+        act it falls back to :attr:`clock` (where the cluster last
         stopped), which can sit ahead of where a lagging replica resumes;
         consumers needing strict monotonicity use :attr:`sim_now`."""
-        busy = [r.clock for r in self.replicas if r.unfinished > 0]
-        return min(busy) if busy else self.clock
+        return self.timelines.frontier
 
     @property
     def sim_now(self) -> float:
@@ -799,7 +804,7 @@ class ClusterGateway:
         self._install_token_tap()
         replica = self._choose_replica(request, active)
         replica.gateway.ingest(request)
-        self._owner[request.request_id] = replica
+        self.timelines.assign(request.request_id, replica)
         return handle
 
     def _choose_replica(self, request: TraceRequest,
@@ -824,18 +829,13 @@ class ClusterGateway:
         precedes the arrival (the request never enters a replica, and
         the lineage balancer never pins its abandoned work).
         """
-        rid = int(request_id)
         if at_s is None:
             at_s = self.sim_now
-        owner = self._owner.get(rid)
-        if owner is not None:
-            owner.gateway.cancel(rid, at_s=at_s, reason=reason)
-        else:
-            self._pending_cancels[rid] = (float(at_s), reason)
+        self.timelines.cancel(request_id, float(at_s), reason)
 
     def handle(self, request_id: int) -> Optional[RequestHandle]:
         """The handle for a request submitted through this gateway."""
-        return self._handles.get(int(request_id))
+        return self._handles.get(request_id)
 
     def ingest(self, request: TraceRequest) -> int:
         """Accept a fully-formed :class:`TraceRequest` verbatim.
@@ -897,36 +897,16 @@ class ClusterGateway:
             else 0
 
     def step(self) -> bool:
-        """Advance the least-advanced replica that has work by one engine
-        iteration; False once no replica can make progress (all drained,
-        past their sim-time cap, or wedged on inadmissible requests)."""
+        """Advance the replica with the least next-action time by one
+        engine iteration; False once no replica can make progress (all
+        drained, past their sim-time cap, or wedged on inadmissible
+        requests)."""
         self._route_due()
-        best: Optional[Replica] = None
-        for r in self.replicas:
-            if r.unfinished > 0 and \
-                    r.clock < r.engine.config.max_sim_seconds and \
-                    (best is None or (r.clock, r.id) < (best.clock, best.id)):
-                best = r
-        if best is not None:
-            if best.gateway.step():
-                return self._made_progress()
-            # the least-advanced replica is wedged: fall through to the
-            # rest in (clock, id) order, matching the pre-kernel scan
-            rest = sorted(
-                (r for r in self.replicas
-                 if r is not best and r.unfinished > 0
-                 and r.clock < r.engine.config.max_sim_seconds),
-                key=lambda r: (r.clock, r.id))
-            for replica in rest:
-                if replica.gateway.step():
-                    return self._made_progress()
-        self._reap_drained()
-        return False
+        return self.timelines.step() and self._made_progress()
 
     def _made_progress(self) -> bool:
         """Post-step bookkeeping: advance the kernel clock to the new
         frontier and fire any autoscaler tick it has reached."""
-        self._reap_drained()
         now = max(self.kernel.now, self.frontier)
         fired = False
         if self.autoscaler is not None:
@@ -959,12 +939,12 @@ class ClusterGateway:
     def _route_due(self) -> None:
         """Route unrouted trace requests the frontier has reached.
 
-        The frontier is the kernel clock (least busy-replica clock) — the
-        cluster never simulates a replica below it, so routing everything
-        due by then (in arrival order) gives each replica its requests
-        before it could step past their arrival, and no earlier.  With
-        every replica idle the next arrival group is released to restart
-        the clocks: the cluster-level idle-skip.
+        The frontier is the least replica next-action time — the cluster
+        never steps a replica beyond it, so routing everything due by
+        then (in arrival order) gives each replica its requests before it
+        could step past their arrival, and no earlier.  With no replica
+        able to act the next arrival group is released to restart the
+        clocks: the cluster-level idle-skip.
 
         A request whose scheduled cancel precedes its arrival never
         reaches a replica: it retires as an orphaned cancelled/expired
@@ -972,25 +952,26 @@ class ClusterGateway:
         was such an orphan while all replicas idle — the next arrival
         group is released immediately so the drain cannot wedge.
         """
+        timelines = self.timelines
         while self._unrouted:
-            busy = [r.clock for r in self.replicas if r.unfinished > 0]
-            frontier = min(busy) if busy else self._unrouted.peek_time()
+            key = timelines.least_key()
+            frontier = self._unrouted.peek_time() if key is None else key
             routed_any = False
             for event in self._unrouted.pop_due(frontier):
                 request = event.request
-                pending = self._pending_cancels.pop(request.request_id, None)
+                rid = request.request_id
+                pending = timelines.unpark(rid)
                 if pending is not None and pending[0] <= request.arrival_s:
                     self._retire_orphan(request, pending[1])
                     continue
                 active = self.active_replicas()
                 replica = self._choose_replica(request, active)
                 replica.gateway.ingest(request)
-                self._owner[request.request_id] = replica
+                timelines.assign(rid, replica)
                 if pending is not None:
-                    replica.gateway.cancel(request.request_id,
-                                           at_s=pending[0], reason=pending[1])
+                    timelines.cancel(rid, *pending)
                 routed_any = True
-            if routed_any or busy:
+            if routed_any or key is not None:
                 return
 
     def _retire_orphan(self, request: TraceRequest, reason: str) -> None:
@@ -1062,14 +1043,13 @@ class ClusterGateway:
         for replica in self.replicas:
             replica.engine.reset()
         self.retired.clear()
+        self.timelines.reset()
         self.kernel.reset()
         self._unrouted.clear()
         self._ticks.clear()
         self._schedule_tick(0.0)
         self._recent_records.clear()
         self._handles.clear()
-        self._owner.clear()
-        self._pending_cancels.clear()
         self._orphans.clear()
         self._next_id = 0
         self.balancer.reset()
@@ -1098,7 +1078,7 @@ class ClusterGateway:
                     conversation_id=record.conversation_id)
             else:
                 self.balancer.on_abandoned(record.model_id)
-            self._owner.pop(record.request_id, None)
+            self.timelines.release(record.request_id)
         if self._on_complete is not None:
             self._on_complete(record)
         for listener in self._listeners:
@@ -1108,9 +1088,9 @@ class ClusterGateway:
         else:
             # releasing policy: drop the routing/handle entries for every
             # terminal request so cluster maps stay O(active).  (A stale
-            # cancel against a dropped owner parks in _pending_cancels;
+            # cancel against a dropped owner parks in the timeline set;
             # rare, bounded by the number of late cancels.)
-            self._owner.pop(record.request_id, None)
+            self.timelines.release(record.request_id)
             handle = self._handles.pop(record.request_id, None)
         if handle is not None:
             handle._finish(record)
@@ -1118,7 +1098,7 @@ class ClusterGateway:
     def _status_of(self, request_id: int) -> HandleStatus:
         """Live status for a handle: delegate to the owning replica, or
         QUEUED while the request is still unrouted."""
-        owner = self._owner.get(request_id)
+        owner = self.timelines.owner(request_id)
         if owner is not None:
             return owner.gateway._status_of(request_id)
         return HandleStatus.QUEUED

@@ -27,24 +27,27 @@ engine template:
 
 Determinism contract: pool workers are full
 :class:`~repro.serving.engine.DeltaZipEngine` instances on their own
-kernel clocks; the owner steps whichever busy worker is earliest
-(ties broken by worker id), decode workers never idle-jump past the
-prefill frontier (a handoff can only be scheduled at or after the
-prefill worker's clock), and idle jumps are clamped to autoscaler
-check boundaries — so run-to-run and idle-skip replays produce
-identical records, and every existing engine is bit-identical with
-disaggregation off (nothing in this module runs unless constructed).
+kernel clocks in a :class:`~repro.sim.TimelineSet`; the owner steps the
+worker with the least next-action time (ties broken by worker id), so a
+decode worker never idle-jumps past a handoff a prefill worker could
+still schedule, and a wedged worker drops out of the frontier instead of
+holding the others back.  Idle jumps are clamped to autoscaler check
+boundaries, which fire as the frontier crosses them — so run-to-run and
+idle-skip replays produce identical records, and every existing engine
+is bit-identical with disaggregation off.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields as dataclass_fields, replace
+from functools import partial
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..hardware.cluster import Cluster, GPUNode
-from ..sim import Event, KvTransfer, PhaseTransition
+from ..sim import Event, KvTransfer, PhaseTransition, TimelineSet
 from ..workload.spec import TraceRequest
-from .base import (Admission, EngineConfig, ServingEngine, register_engine)
+from .base import (CompositeEngine, EngineConfig, ServingEngine,
+                   register_engine)
 from .costs import BatchComposition
 from .engine import DeltaZipEngine
 from .kv_transfer import InterconnectModel, plan_kv_transfer
@@ -70,8 +73,8 @@ DEFAULT_PREFILL_CHUNK_TOKENS = 512
 class _PoolWorker(DeltaZipEngine):
     """One pool member: a DeltaZip engine on its own timeline.
 
-    Workers forward tokens, finishes, and events to the owning
-    :class:`DisaggregatedEngine`, which maintains the canonical
+    The owning :class:`DisaggregatedEngine` wires the worker's token,
+    finish, and event hooks to itself: it maintains the canonical
     (client-visible) request objects.  ``draining`` workers accept no
     new routes but run their queue dry before their node is released.
     """
@@ -86,18 +89,6 @@ class _PoolWorker(DeltaZipEngine):
         self.draining = False
         self.name = f"disagg.{role}{worker_id}"
         super().__init__(manager, node, scheduler_config, engine_config)
-        self.on_token = self._token_to_owner
-        self.on_finish = self._finish_to_owner
-
-    # forwarded hooks (permanent: owner state is read at call time) ----- #
-    def _token_to_owner(self, req: ServingRequest, clock_s: float) -> None:
-        self.owner._on_worker_token(self, req, clock_s)
-
-    def _finish_to_owner(self, req: ServingRequest, clock_s: float) -> None:
-        self.owner._on_worker_finish(self, req, clock_s)
-
-    def _event_to_owner(self, event: Event) -> None:
-        self.owner._on_worker_event(self, event)
 
     def flush_residency(self) -> None:
         """Cold-start state drop for a worker revived onto a fresh node:
@@ -115,7 +106,7 @@ class _PoolWorker(DeltaZipEngine):
         controller observes the pools at its scheduled boundaries in both
         idle-skip modes (a jump may not overshoot a check)."""
         wake = super()._next_wake()
-        bound = self.owner._scaler_bound()
+        bound = self.owner._next_check_s
         if wake is not None and bound is not None and \
                 self.clock < bound < wake:
             return bound
@@ -191,15 +182,6 @@ class _DecodeWorker(_PoolWorker):
             request.cached_prefix_tokens = cached
             self.owner._note_arrived(request.request_id)
         super().on_arrival(request)
-
-    def _bounded_jump(self, target: float) -> float:
-        # never idle-jump past the prefill frontier: a busy prefill
-        # worker at clock T can still hand off a request arriving >= T,
-        # so the decode clock must not pass T before that submit lands.
-        bound = self.owner._prefill_frontier()
-        if bound is not None and target > bound:
-            target = max(self.clock, bound)
-        return super()._bounded_jump(target)
 
 
 # --------------------------------------------------------------------- #
@@ -288,7 +270,7 @@ class PoolAutoscaler:
 # the disaggregated engine
 # --------------------------------------------------------------------- #
 @register_engine
-class DisaggregatedEngine(ServingEngine):
+class DisaggregatedEngine(CompositeEngine):
     """Prefill/decode disaggregation over heterogeneous worker pools.
 
     The engine satisfies the full :class:`~repro.serving.base.
@@ -345,14 +327,15 @@ class DisaggregatedEngine(ServingEngine):
     # state
     # ------------------------------------------------------------------ #
     def _reset_engine(self) -> None:
-        for worker in list(getattr(self, "_prefill_pool", [])) + \
-                list(getattr(self, "_decode_pool", [])):
-            self._cluster.release(worker.node)
+        if hasattr(self, "timelines"):    # a re-reset frees the old pools
+            for worker in self.timelines.children:
+                self._cluster.release(worker.node)
+        # the pool workers, the request -> worker owner map, the frontier
+        self.timelines = TimelineSet(wire=self._wire,
+                                     on_drained=self._note_drained)
         self._next_worker_id = 0
-        self._prefill_pool: List[_PoolWorker] = []
-        self._decode_pool: List[_PoolWorker] = []
         self._parked: List[_PoolWorker] = []   # drained, node released
-        self._owner_of: Dict[int, _PoolWorker] = {}
+        self._drained: List[_PoolWorker] = []  # draining, awaiting reap
         self._cancel_log: Dict[int, List[Tuple[float, str]]] = {}
         self._conv_home: Dict[str, _PoolWorker] = {}
         self._in_transfer: Set[int] = set()
@@ -378,15 +361,19 @@ class DisaggregatedEngine(ServingEngine):
                             self.config)
         self._next_worker_id += 1
         worker.clock = at_s
-        self._pool(role).append(worker)
+        self.timelines.add(worker, worker.worker_id)
         return worker
 
-    def _pool(self, role: str) -> List[_PoolWorker]:
-        return self._prefill_pool if role == "prefill" \
-            else self._decode_pool
+    def _wire(self, worker: _PoolWorker) -> None:
+        worker.on_token = partial(self._on_worker_token, worker)
+        worker.on_finish = partial(self._on_worker_finish, worker)
+        sink = self.on_event is not None
+        worker.emit_phases = bool(self.emit_phases) and sink
+        worker.on_event = partial(self._on_worker_event, worker) \
+            if sink else None
 
-    def _all_workers(self) -> List[_PoolWorker]:
-        return self._prefill_pool + self._decode_pool
+    def _pool(self, role: str) -> List[_PoolWorker]:
+        return [w for w in self.timelines.children if w.role == role]
 
     def active_workers(self, role: str) -> List[_PoolWorker]:
         """Non-draining members of one pool (the routable set)."""
@@ -406,10 +393,7 @@ class DisaggregatedEngine(ServingEngine):
     @property
     def stats(self) -> EngineStats:
         agg = EngineStats()
-        workers = list(getattr(self, "_prefill_pool", [])) + \
-            list(getattr(self, "_decode_pool", [])) + \
-            list(getattr(self, "_parked", []))
-        for worker in workers:
+        for worker in self.timelines.children + getattr(self, "_parked", []):
             ws = worker.stats
             for f in dataclass_fields(EngineStats):
                 setattr(agg, f.name,
@@ -424,43 +408,6 @@ class DisaggregatedEngine(ServingEngine):
         pass  # derived from the pools; base reset's assignment is moot
 
     # ------------------------------------------------------------------ #
-    # clock: the cluster frontier sees the earliest busy worker
-    # ------------------------------------------------------------------ #
-    @property
-    def clock(self) -> float:
-        workers = list(getattr(self, "_prefill_pool", [])) + \
-            list(getattr(self, "_decode_pool", []))
-        if not workers:
-            return 0.0
-        # workers with arrived work advance on event-exact boundaries;
-        # a worker whose only work is a *pending* future arrival (a KV
-        # handoff in flight) reports that arrival time instead of its
-        # raw clock, which under dense-quantum stepping creeps through
-        # intermediate positions skip-mode never visits — outer layers
-        # (the tenancy frontier) must see the same "now" in both modes
-        active = [w.clock for w in workers
-                  if w.running or w.backlog > 0]
-        if active:
-            return min(active)
-        waiting = []
-        for w in workers:
-            if w.unfinished > 0:
-                nxt = w._pending.peek_time()
-                waiting.append(w.clock if nxt is None
-                               else max(w.clock, nxt))
-        if waiting:
-            return min(waiting)
-        return max(w.clock for w in workers)
-
-    @clock.setter
-    def clock(self, value: float) -> None:
-        # outer layers re-seat idle engines (replica spawn, floor bumps):
-        # lift every worker that lags, never rewind one that leads
-        for worker in self._all_workers():
-            if value > worker.clock:
-                worker.clock = value
-
-    # ------------------------------------------------------------------ #
     # submission and routing
     # ------------------------------------------------------------------ #
     def submit(self, request: TraceRequest) -> ServingRequest:
@@ -468,52 +415,46 @@ class DisaggregatedEngine(ServingEngine):
         self._live[request.request_id] = req
         self._n_submitted += 1
         worker = self._route_prefill(request)
-        self._owner_of[request.request_id] = worker
         # the prefill surrogate asks for exactly one token: prefill plus
         # the first decode step, after which the worker retires it and
         # the owner hands the KV state to the decode pool
         worker.submit(replace(request, output_tokens=1)
                       if request.output_tokens > 1 else request)
+        self.timelines.assign(request.request_id, worker)
         return req
 
     def _route_prefill(self, request: TraceRequest) -> _PoolWorker:
-        pool = self.active_workers("prefill") or self._prefill_pool
+        pool = self.active_workers("prefill") or self._pool("prefill")
         conv = request.conversation_id
         if self.config.prefix_cache and conv is not None:
             home = self._conv_home.get(conv)
-            if home is not None and not home.draining and \
-                    home in self._prefill_pool:
-                return home
+            if home is not None and not home.draining:
+                return home       # a reaped home left _conv_home
             chosen = min(pool, key=lambda w: (w.unfinished, w.worker_id))
             self._conv_home[conv] = chosen
             return chosen
         return min(pool, key=lambda w: (w.unfinished, w.worker_id))
 
     def _route_decode(self) -> _PoolWorker:
-        pool = self.active_workers("decode") or self._decode_pool
+        pool = self.active_workers("decode") or self._pool("decode")
         return min(pool, key=lambda w: (w.unfinished, w.worker_id))
 
     def schedule_cancel(self, request_id: int, at_s: float,
                         reason: str = "cancel") -> None:
-        worker = self._owner_of.get(request_id)
-        if worker is None:
-            canonical = self._live.get(request_id)
-            if canonical is not None and canonical.terminal:
-                return           # stale: already terminal, nothing to do
-            raise KeyError(f"unknown request {request_id}")
+        canonical = self._live.get(request_id)
+        if canonical is not None and canonical.terminal:
+            return               # stale: already terminal, nothing to do
+        super().schedule_cancel(request_id, at_s, reason)
         # remembered so a handoff after this call re-arms the cancel on
         # the decode worker (deadlines re-arm themselves via the trace)
         self._cancel_log.setdefault(request_id, []).append(
             (float(at_s), reason))
-        worker.schedule_cancel(request_id, at_s, reason)
 
     def _apply_cancel(self, request_id: int,
                       reason: str) -> Optional[ServingRequest]:
         canonical = self._live.get(request_id)
-        worker = self._owner_of.get(request_id)
-        if canonical is None or canonical.terminal or worker is None:
-            return None
-        if worker._apply_cancel(request_id, reason) is None:
+        if canonical is None or canonical.terminal or \
+                super()._apply_cancel(request_id, reason) is None:
             return None
         return canonical          # finalized via the worker finish hook
 
@@ -521,76 +462,33 @@ class DisaggregatedEngine(ServingEngine):
     # stepping
     # ------------------------------------------------------------------ #
     def step(self) -> bool:
-        self._sync_hooks()
-        limit = self.config.max_sim_seconds
-        candidates = [w for w in self._all_workers()
-                      if w.unfinished > 0 and w.clock < limit]
-        candidates.sort(key=lambda w: (w.clock, w.worker_id))
-        progress = False
-        for worker in candidates:
-            before = (worker.clock, worker.unfinished)
-            if not worker.step():
-                continue
-            if (worker.clock, worker.unfinished) != before:
-                progress = True
-                break
-            # a clamped idle jump moved nothing: let an earlier-frontier
-            # worker (already stepped) or the next candidate make time
+        progress = super().step()
         self._run_autoscaler()
         return progress
 
-    def _sync_hooks(self) -> None:
-        has_sink = self.on_event is not None
-        phases = self.emit_phases and has_sink
-        for worker in self._all_workers():
-            worker.emit_phases = phases
-            worker.on_event = worker._event_to_owner if has_sink else None
-
-    def _prefill_frontier(self) -> Optional[float]:
-        times = [w.clock for w in self._prefill_pool if w.unfinished > 0]
-        return min(times) if times else None
-
-    def _scaler_bound(self) -> Optional[float]:
-        return self._next_check_s
-
-    def _event_frontier(self) -> float:
-        """The earliest point any worker can still act: raw clocks for
-        workers with arrived work, next-arrival times for pending-only
-        ones.  Unlike the tenancy-facing ``clock`` (which prefers busy
-        workers), this never ignores a worker that will wake soon, so it
-        crosses an autoscaler check boundary at the same position in
-        event order under both idle-skip and dense-quantum stepping —
-        how far an idle worker's clock happened to creep cannot change
-        when a scale action lands relative to the surrounding handoffs.
-        """
-        vals = []
-        for w in self._all_workers():
-            if w.running or w.backlog > 0:
-                vals.append(w.clock)
-            elif w.unfinished > 0:
-                nxt = w._pending.peek_time()
-                vals.append(w.clock if nxt is None else max(w.clock, nxt))
-        return min(vals) if vals else self.clock
-
     def _run_autoscaler(self) -> None:
+        """Fire every check the frontier has crossed.  Idle jumps are
+        clamped to the next check, so the frontier crosses it at the same
+        point in event order under idle-skip and dense-quantum stepping."""
         scaler = self._scaler
-        if scaler is None or self._next_check_s is None:
-            return
-        if self.unfinished == 0:
+        if scaler is None or self.unfinished == 0:
             return                # a drained system never rescales
-        now = self._event_frontier()
-        while self._next_check_s is not None and now >= self._next_check_s:
+        timelines = self.timelines
+        while self._next_check_s is not None and \
+                timelines.frontier >= self._next_check_s:
             at_s = self._next_check_s
             scaler.control(self, at_s)
             self._next_check_s = at_s + scaler.check_interval_s
+            # the clamp moved: every worker's key may have moved with it
+            for worker in timelines.children:
+                timelines.touch(worker)
         self._reap_drained()
 
     def _grow_pool(self, role: str, at_s: float) -> bool:
         """Add one worker to a pool: un-drain the youngest draining
         member, revive a parked one onto a fresh node, or acquire a new
         node.  Returns False when the cluster is exhausted."""
-        pool = self._pool(role)
-        draining = [w for w in pool if w.draining]
+        draining = [w for w in self._pool(role) if w.draining]
         if draining:
             revived = max(draining, key=lambda w: w.worker_id)
             revived.draining = False
@@ -604,8 +502,7 @@ class DisaggregatedEngine(ServingEngine):
             worker.flush_residency()
             worker.draining = False
             worker.clock = at_s
-            pool.append(worker)
-            pool.sort(key=lambda w: w.worker_id)
+            self.timelines.add(worker, worker.worker_id)
             self._note_pool_peak(role)
             return True
         if self._cluster.n_free > 0:
@@ -622,13 +519,21 @@ class DisaggregatedEngine(ServingEngine):
             return False
         worker = min(active, key=lambda w: (w.unfinished, -w.worker_id))
         worker.draining = True
+        self._note_drained(worker)
         return True
 
+    def _note_drained(self, worker: _PoolWorker) -> None:
+        # reaped after this step's autoscaler pass, so a check in the
+        # same step can still revive it with its residency intact
+        if worker.draining and worker.unfinished == 0 \
+                and worker not in self._drained:
+            self._drained.append(worker)
+
     def _reap_drained(self) -> None:
-        for pool in (self._prefill_pool, self._decode_pool):
-            drained = [w for w in pool if w.draining and w.unfinished == 0]
-            for worker in drained:
-                pool.remove(worker)
+        drained, self._drained = self._drained, []
+        for worker in drained:
+            if worker.draining and worker.unfinished == 0:
+                self.timelines.remove(worker)
                 self._cluster.release(worker.node)
                 self._parked.append(worker)
                 stale = [conv for conv, home in self._conv_home.items()
@@ -710,13 +615,13 @@ class DisaggregatedEngine(ServingEngine):
                     time=start_s, request_id=rid, phase="transfer",
                     model_id=canonical.model_id,
                     tenant_id=canonical.tenant_id, source=self.name))
-        self._owner_of[rid] = dst
         self._in_transfer.add(rid)
         dst.seed(rid, req.cached_prefix_tokens)
         dst.submit(replace(canonical.trace,
                            arrival_s=start_s + plan.transfer_s))
+        self.timelines.assign(rid, dst)
         for at_s, reason in self._cancel_log.get(rid, ()):
-            dst.schedule_cancel(rid, at_s, reason)
+            self.timelines.cancel(rid, at_s, reason)
 
     def _note_arrived(self, request_id: int) -> None:
         self._in_transfer.discard(request_id)
@@ -732,7 +637,7 @@ class DisaggregatedEngine(ServingEngine):
             canonical.first_token_s = req.first_token_s
         self._cancel_log.pop(rid, None)
         self._in_transfer.discard(rid)
-        self._owner_of.pop(rid, None)
+        self.timelines.release(rid)
         self._retire_terminal(canonical)
         if self.on_finish is not None:
             self.on_finish(canonical, clock_s)
@@ -760,28 +665,16 @@ class DisaggregatedEngine(ServingEngine):
         emit(event)
 
     # ------------------------------------------------------------------ #
-    # protocol surface the pools satisfy jointly
+    # protocol surface the pools satisfy jointly (the template hooks —
+    # on_arrival, admit, iteration_cost — never run: step() is the set's)
     # ------------------------------------------------------------------ #
     @property
     def backlog(self) -> int:
-        return sum(w.backlog for w in self._all_workers()) + \
+        return sum(w.backlog for w in self.timelines.children) + \
             len(self._in_transfer)
 
-    def has_queued(self) -> bool:
-        return any(w.has_queued() for w in self._all_workers())
-
-    def on_arrival(self, request: ServingRequest) -> None:
-        raise AssertionError("disagg routes at submit; no owner queue")
-
-    def admit(self) -> Admission:
-        raise AssertionError("disagg steps its pools; no owner admission")
-
-    def iteration_cost(self,
-                       admitted: List[ServingRequest]) -> Optional[float]:
-        raise AssertionError("disagg steps its pools; no owner iterations")
-
     def utilization(self) -> Dict[str, float]:
-        workers = self._all_workers()
+        workers = self.timelines.children
         if not workers:
             return {"batch_occupancy": 0.0, "kv_occupancy": 0.0}
         batch = 0.0
@@ -803,8 +696,8 @@ class DisaggregatedEngine(ServingEngine):
         return {
             "prefill_workers": float(len(self.active_workers("prefill"))),
             "decode_workers": float(len(self.active_workers("decode"))),
-            "prefill_occupancy": occupancy(self._prefill_pool),
-            "decode_occupancy": occupancy(self._decode_pool),
+            "prefill_occupancy": occupancy(self._pool("prefill")),
+            "decode_occupancy": occupancy(self._pool("decode")),
             "prefill_backlog": float(self.pool_backlog("prefill")),
             "decode_backlog": float(self.pool_backlog("decode")),
         }

@@ -30,8 +30,7 @@ from typing import Dict, List, Optional, Set
 from ..hardware.cluster import GPUNode
 from ..hardware.memory import Tier
 from .base import (PREEMPT_SWAP_S, WORKSPACE_FRACTION, Admission,
-                   EngineConfig, ServingEngine, TimelineEvent,
-                   register_engine)
+                   EngineConfig, ServingEngine, register_engine)
 from .costs import BatchComposition, IterationCostModel
 from .kv_transfer import InterconnectModel
 from .model_manager import ArtifactKind, ModelManager
@@ -39,7 +38,7 @@ from .prefix_cache import PrefixCache, prefix_block_keys
 from .request import ServingRequest
 from .scheduler import ContinuousBatchScheduler, SchedulerConfig
 
-__all__ = ["EngineConfig", "DeltaZipEngine", "TimelineEvent"]
+__all__ = ["EngineConfig", "DeltaZipEngine"]
 
 
 @register_engine

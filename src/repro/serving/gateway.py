@@ -66,7 +66,6 @@ class ServingGateway:
     def __init__(self, engine: ServingEngine,
                  on_token: Optional[TokenCallback] = None,
                  on_request_complete: Optional[CompletionCallback] = None,
-                 collect_timeline: bool = False,
                  telemetry=None):
         self.engine = engine
         self._on_token = on_token
@@ -74,7 +73,6 @@ class ServingGateway:
         self._listeners: List[CompletionCallback] = []
         self._token_listeners: List[TokenCallback] = []
         self._handles: Dict[int, RequestHandle] = {}
-        engine.collect_timeline = collect_timeline
         self._next_id = 0
         self._telemetry = None
         self._refresh_hooks()
@@ -135,9 +133,8 @@ class ServingGateway:
         is aborted as expired.  ``conversation_id`` marks the request as
         one turn of a multi-turn session, which a prefix-cache-enabled
         engine uses to skip re-prefilling the session's history.  The
-        returned handle streams this request's tokens, exposes its
-        status and terminal record, and coerces to the integer request
-        id for pre-handle call sites.
+        returned handle streams this request's tokens and exposes its
+        id, status and terminal record.
         """
         if prompt_len < 1 or output_len < 1:
             raise ValueError("prompt_len and output_len must be >= 1")
@@ -182,12 +179,12 @@ class ServingGateway:
         time; stale cancels are ignored."""
         if at_s is None:
             at_s = self.engine.clock
-        self.engine.schedule_cancel(int(request_id), float(at_s),
+        self.engine.schedule_cancel(request_id, float(at_s),
                                     reason=reason)
 
     def handle(self, request_id: int) -> Optional[RequestHandle]:
         """The handle for a request submitted through this gateway."""
-        return self._handles.get(int(request_id))
+        return self._handles.get(request_id)
 
     def step(self) -> bool:
         """One engine iteration; False when the engine is drained."""

@@ -20,12 +20,9 @@ system.  A handle exposes
 * :meth:`~RequestHandle.cancel` — withdraw the request at an explicit
   simulated time (client disconnect, impatience).
 
-Backward compatibility: handles coerce to their integer request id
-(``__int__``/``__index__``/``__eq__``/``__hash__``), so every pre-handle
-call site that treated ``submit()``'s return value as an ``int`` — using
-it as a dict key, comparing it to a record's ``request_id`` — keeps
-working unchanged.  ``RequestHandle.shim_int()`` returns the bare id for
-callers that want to silence the transition explicitly.
+A handle is not an ``int``: code that needs the bare request id (a dict
+key, a comparison with a record's ``request_id``) reads
+:attr:`~RequestHandle.id`.
 """
 
 from __future__ import annotations
@@ -213,54 +210,6 @@ class RequestHandle:
         if self._record is not None:
             return
         self._gateway.cancel(self._id, at_s=at_s)
-
-    # ------------------------------------------------------------------ #
-    # int compatibility shim (pre-handle call sites)
-    # ------------------------------------------------------------------ #
-    def shim_int(self) -> int:
-        """The bare request id, for legacy ``int``-typed call sites."""
-        return self._id
-
-    def __int__(self) -> int:
-        return self._id
-
-    def __index__(self) -> int:
-        return self._id
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, RequestHandle):
-            return self._id == other._id and self._gateway is other._gateway
-        if isinstance(other, int):
-            return self._id == other
-        return NotImplemented
-
-    def __lt__(self, other: object) -> bool:
-        if isinstance(other, (RequestHandle, int)):
-            return self._id < int(other)
-        return NotImplemented
-
-    def __le__(self, other: object) -> bool:
-        if isinstance(other, (RequestHandle, int)):
-            return self._id <= int(other)
-        return NotImplemented
-
-    def __gt__(self, other: object) -> bool:
-        if isinstance(other, (RequestHandle, int)):
-            return self._id > int(other)
-        return NotImplemented
-
-    def __ge__(self, other: object) -> bool:
-        if isinstance(other, (RequestHandle, int)):
-            return self._id >= int(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._id)
-
-    def __str__(self) -> str:
-        # part of the int shim: legacy call sites that printed the
-        # returned request id keep printing just the id
-        return str(self._id)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"RequestHandle(id={self._id}, model={self._model_id!r}, "

@@ -838,27 +838,26 @@ class TenantGateway:
         a full bucket/billing refund), or dispatched (the cancel is
         forwarded to the wrapped gateway and the un-served charge is
         refunded when the abort record comes back)."""
-        rid = int(request_id)
-        if rid in self._terminal_ids:
+        if request_id in self._terminal_ids:
             return
         if at_s is None:
             at_s = self._frontier()
-        if rid in self._dispatched_ids:
-            self.inner.cancel(rid, at_s=at_s, reason=reason)
+        if request_id in self._dispatched_ids:
+            self.inner.cancel(request_id, at_s=at_s, reason=reason)
             return
-        self._cancels.push(Cancel(time=float(at_s), request_id=rid,
+        self._cancels.push(Cancel(time=float(at_s), request_id=request_id,
                                   reason=reason))
         # every *explicit* cancel is forwarded if the request dispatches
         # first (earliest wins); only the implicit trace-deadline watch
         # stays behind, because the owning engine re-derives it from
         # ``TraceRequest.deadline_s`` at submit
-        existing = self._scheduled_cancels.get(rid)
+        existing = self._scheduled_cancels.get(request_id)
         if existing is None or at_s < existing[0]:
-            self._scheduled_cancels[rid] = (float(at_s), reason)
+            self._scheduled_cancels[request_id] = (float(at_s), reason)
 
     def handle(self, request_id: int) -> Optional[RequestHandle]:
         """The handle for a request submitted through this gateway."""
-        return self._handles.get(int(request_id))
+        return self._handles.get(request_id)
 
     def add_token_listener(self, listener: TokenCallback) -> None:
         """Register a per-token callback spanning the wrapped gateway —

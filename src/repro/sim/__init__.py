@@ -13,7 +13,9 @@ share:
   :class:`BucketRefill`, :class:`AutoscalerTick`, :class:`ReplicaSpawn`,
   :class:`ReplicaDrain`) — the simulation's shared vocabulary;
 * :class:`SimKernel` — clock + event journal + subscribers for a
-  timeline owner (the cluster gateway, the tenancy frontier).
+  timeline owner (the cluster gateway, the tenancy frontier);
+* :class:`TimelineSet` — child timelines behind one surface, with the
+  one frontier definition the multi-timeline composites share.
 
 Layer mapping: :class:`~repro.serving.base.ServingEngine` sources
 arrivals and stall-jumps from an :class:`EventQueue` on a
@@ -33,10 +35,12 @@ from .events import (AdmissionDecision, Arrival, AutoscalerTick, BucketRefill,
 from .kernel import SimKernel
 from .queue import EventQueue, KeyedHeap
 from .sanitizer import SimSanitizerError, new_clock
+from .timelines import FanOutHook, Timeline, TimelineSet
 from .trace_export import chrome_trace_events, export_chrome_trace
 
 __all__ = [
     "SimClock", "EventQueue", "KeyedHeap", "SimKernel",
+    "Timeline", "TimelineSet", "FanOutHook",
     "Event", "Arrival", "Cancel", "IterationDone", "BucketRefill",
     "AutoscalerTick", "ReplicaSpawn", "ReplicaDrain",
     "PhaseTransition", "AdmissionDecision", "TelemetryTick", "KvTransfer",

@@ -127,11 +127,7 @@ class Telemetry:
         self._cluster = gateway
         self._adopt_policy(gateway.record_policy)
         gateway.kernel.subscribe(Event, self.kernel.emit)
-        for replica in gateway.replicas + gateway.retired:
-            engine = replica.engine
-            if engine.on_event is None:
-                engine.on_event = gateway.kernel.emit
-            engine.emit_phases = True
+        gateway.timelines.rewire()
 
     def attach_tenancy(self, gateway) -> None:
         """Wire a :class:`~repro.serving.tenancy.TenantGateway` plus the

@@ -86,27 +86,19 @@ class TestSimulate:
         for req in trace.requests:
             req.model_id = "review-ft"
         trace.model_ids = ["review-ft"]
-        result = system.simulate(trace, served_spec=LLAMA_7B,
-                                 scheduler=SchedulerConfig(8, 2),
-                                 engine=EngineConfig(tp_degree=1))
+        result = (system.session("deltazip", served_spec=LLAMA_7B)
+                  .with_scheduler(SchedulerConfig(8, 2))
+                  .with_engine_config(EngineConfig(tp_degree=1))
+                  .replay(trace))
         assert result.n_requests == len(trace)
-
-    def test_simulate_warns_deprecated(self, system):
-        """The legacy wrapper must announce its retirement path."""
-        trace = synthetic_trace(1, rate=0.5, duration_s=20.0, seed=0)
-        with pytest.warns(DeprecationWarning,
-                          match=r"DeltaZip\.session"):
-            system.simulate(trace, served_spec=LLAMA_7B,
-                            default_ratio=8.0,
-                            scheduler=SchedulerConfig(8, 2),
-                            engine=EngineConfig(tp_degree=1))
 
     def test_unregistered_model_needs_default(self, system):
         trace = synthetic_trace(2, rate=0.5, duration_s=20.0, seed=0)
         with pytest.raises(KeyError):
-            system.simulate(trace, served_spec=LLAMA_7B)
-        result = system.simulate(trace, served_spec=LLAMA_7B,
-                                 default_ratio=8.0,
-                                 scheduler=SchedulerConfig(8, 2),
-                                 engine=EngineConfig(tp_degree=1))
+            system.session("deltazip", served_spec=LLAMA_7B).replay(trace)
+        result = (system.session("deltazip", served_spec=LLAMA_7B)
+                  .with_default_ratio(8.0)
+                  .with_scheduler(SchedulerConfig(8, 2))
+                  .with_engine_config(EngineConfig(tp_degree=1))
+                  .replay(trace))
         assert result.n_requests == len(trace)

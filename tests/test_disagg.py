@@ -142,7 +142,43 @@ class TestPoolAccounting:
         assert all(r.finished for r in res.records)
         engine = gw.engine
         assert engine.unfinished == 0
-        assert not engine._in_transfer and not engine._owner_of
+        assert not engine._in_transfer and engine.timelines.n_owned == 0
+
+
+    def test_infeasible_request_does_not_wedge_the_pools(self):
+        """A prompt that can never fit the node stalls its prefill worker
+        for good.  That worker must drop out of the frontier: the other
+        requests still cross both pools and finish as on the colocated
+        engine, and the infeasible one stays unfinished."""
+        def serve(name, **kwargs):
+            engine = create_engine(
+                name, make_manager(), GPUNode(node_from_name("a800", 1)),
+                scheduler_config=SchedulerConfig(max_batch_requests=8,
+                                                 max_concurrent_deltas=4),
+                engine_config=EngineConfig(tp_degree=1), **kwargs)
+            gw = ServingGateway(engine)
+            gw.submit("variant-00", 5_000_000, 16, arrival_s=0.0)
+            gw.submit("variant-00", 100, 16, arrival_s=0.1)
+            gw.submit("variant-00", 100, 16, arrival_s=0.2)
+            return engine, gw.run_until_drained()
+
+        _, colocated = serve("deltazip")
+        engine, disagg = serve("disagg", prefill_workers=1,
+                               decode_workers=1)
+
+        def prefill_view(result):
+            # what both engines decide before the KV handoff; finish
+            # times differ by the priced transfer and the decode swap-in
+            return [(r.request_id, r.status, r.tokens_served,
+                     r.first_token_s, r.queue_wait_s)
+                    for r in sorted(result.records,
+                                    key=lambda r: r.request_id)]
+
+        assert [r.request_id for r in disagg.records] == [1, 2]
+        assert prefill_view(disagg) == prefill_view(colocated)
+        assert all(r.transfer_s > 0.0 for r in disagg.records)
+        assert engine.unfinished == 1
+        assert engine.lookup(0).state.value == "queued"
 
 
 # --------------------------------------------------------------------------- #
@@ -277,7 +313,7 @@ class TestCancelAcrossPools:
         engine = gw.engine
         assert engine.unfinished == 0
         assert not engine._in_transfer
-        assert not engine._owner_of and not engine._cancel_log
+        assert engine.timelines.n_owned == 0 and not engine._cancel_log
         assert engine.stats.aborts == 1
 
     def test_bulk_cancels_retire_every_request_exactly_once(self):
@@ -329,7 +365,7 @@ class TestPoolAutoscaler:
         assert max(cfg["max_prefill_workers_seen"],
                    cfg["max_decode_workers_seen"]) > 1
         # drained workers are reaped: their nodes return to the cluster
-        held = len(engine._prefill_pool) + len(engine._decode_pool)
+        held = len(engine.timelines.children)
         assert engine._cluster.n_free == engine._cluster.n_nodes - held
 
     def test_autoscaled_replay_is_deterministic_across_idle_skip(self):

@@ -129,16 +129,14 @@ class TestCancelEvent:
 # the handle surface (engine-backed gateway)
 # --------------------------------------------------------------------------- #
 class TestHandleBasics:
-    def test_submit_returns_handle_with_int_shim(self):
+    def test_submit_returns_handle(self):
         gw = ServingGateway(make_engine())
         h0 = gw.submit("variant-00", 32, 4)
         h1 = gw.submit("variant-01", 32, 4)
         assert isinstance(h0, RequestHandle)
-        # pre-handle call sites treated the return value as an int
-        assert h0 == 0 and int(h1) == 1 and h1.shim_int() == 1
-        assert {h0: "a"}[0] == "a"          # dict key interop
-        assert sorted([h1, h0]) == [h0, h1]
-        assert list(range(3))[h1] == 1       # __index__
+        # a handle is not an int: the request id is its ``id``
+        assert (h0.id, h1.id) == (0, 1)
+        assert h0 != 0 and gw.handle(h1.id) is h1
 
     def test_token_stream_drives_the_simulation(self):
         gw = ServingGateway(make_engine())
@@ -365,7 +363,7 @@ class TestTenancyCancellation:
         # first request drains the bucket; the second defers behind it
         tg.submit("variant-00", 32, 8, tenant_id="t")
         h2 = tg.submit("variant-00", 32, 8, tenant_id="t")
-        assert tg.decision(h2).value == "deferred"
+        assert tg.decision(h2.id).value == "deferred"
         bucket = controller._buckets["t"]
         before = bucket.tokens
         charged_before = controller.stats["t"].tokens_charged
@@ -437,7 +435,7 @@ class TestTenancyCancellation:
         # deferred ~4s for refill, but the deadline hits at 2s: expires
         # at the frontier without ever reaching an engine
         h = tg.submit("variant-00", 32, 8, tenant_id="t", deadline_s=2.0)
-        assert tg.decision(h).value == "deferred"
+        assert tg.decision(h.id).value == "deferred"
         bucket = controller._buckets["t"]
         res = tg.run_until_drained()
         assert h.status is HandleStatus.EXPIRED
@@ -487,7 +485,7 @@ class TestTenancyCancellation:
         # deferred briefly behind the bucket, dispatches well before 5s
         tg.submit("variant-00", 80, 8, tenant_id="t")
         h = tg.submit("variant-00", 80, 2000, tenant_id="t")
-        tg.cancel(h, at_s=5.0, reason="deadline")
+        tg.cancel(h.id, at_s=5.0, reason="deadline")
         tg.run_until_drained()
         rec = h.record()
         assert rec.status == "expired" and rec.tokens_served < 2000

@@ -153,7 +153,7 @@ class TestClusterGateway:
 
     def test_request_ids_unique_across_replicas(self):
         gateway = make_gateway(n_replicas=3, balancer="round-robin")
-        ids = [gateway.submit(f"variant-{i % N_MODELS:02d}", 32, 4)
+        ids = [gateway.submit(f"variant-{i % N_MODELS:02d}", 32, 4).id
                for i in range(9)]
         assert ids == list(range(9))
         result = gateway.run_until_drained()
@@ -402,7 +402,7 @@ class TestAutoscaler:
 
     def test_observes_frontier_not_max_replica_clock(self):
         """Regression: the controller observes at the kernel clock (the
-        min-busy frontier).  Previously it read ``gateway.clock`` — the
+        cluster frontier).  Previously it read ``gateway.clock`` — the
         *most-advanced* replica — so one replica racing ahead would
         fast-forward the check-interval/cooldown clock: the controller
         stamped its sample at the runaway clock and then debounced every
@@ -418,8 +418,10 @@ class TestAutoscaler:
             gateway.submit(f"variant-{i % N_MODELS:02d}", 32, 8,
                            arrival_s=0.0)
         # replica 1 raced 5000 simulated seconds ahead (still busy); the
-        # cluster frontier — the kernel clock — is still at 0
+        # cluster frontier — the kernel clock — is still at 0.  A reseat
+        # from outside the replica's own step is announced with touch().
         gateway.replicas[1].engine.clock = 5000.0
+        gateway.timelines.touch(gateway.replicas[1])
         assert gateway.frontier == 0.0
         assert gateway.clock == 5000.0
         assert autoscaler.control(gateway) == "scale_up"
@@ -427,6 +429,7 @@ class TestAutoscaler:
         # frontier advances past the check interval -> the controller
         # samples again instead of staying debounced behind the runaway
         gateway.replicas[0].engine.clock = 3.0
+        gateway.timelines.touch(gateway.replicas[0])
         autoscaler.control(gateway)
         assert len(autoscaler.history) == 2
         assert autoscaler.history[-1].clock_s == 3.0

@@ -119,8 +119,8 @@ class TestOnlinePath:
         completions = []
         gateway = router.gateway(
             on_request_complete=lambda rec: completions.append(rec))
-        rid_p = gateway.submit("pythia-ft-a", 16, 4)
-        rid_l = gateway.submit("llama-ft-a", 16, 4)
+        rid_p = gateway.submit("pythia-ft-a", 16, 4).id
+        rid_l = gateway.submit("llama-ft-a", 16, 4).id
         gateway.run_until_drained()
         assert sorted(r.request_id for r in completions) == \
             sorted([rid_p, rid_l])

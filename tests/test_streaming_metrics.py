@@ -360,7 +360,6 @@ class TestRecordPolicies:
         result = gateway.replay(make_trace())
         assert result.n_requests == 160
         assert gateway._handles == {}
-        assert gateway._owner == {}
 
     def test_drop_releases_tenant_handles(self):
         gateway = build_gateway("deltazip", "tenant", RecordPolicy.DROP)
