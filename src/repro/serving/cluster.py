@@ -47,11 +47,11 @@ import numpy as np
 from ..hardware.cluster import Cluster, GPUNode
 from ..sim import (Arrival, AutoscalerTick, EventQueue, ReplicaDrain,
                    ReplicaSpawn, SimKernel, TimelineSet)
-from ..workload.spec import Trace, TraceRequest
+from ..workload.spec import TraceRequest
 from .base import ServingEngine
-from .gateway import (CancelSchedule, CompletionCallback, ServingGateway,
+from .gateway import (CompletionCallback, GatewayBase, ServingGateway,
                       TokenCallback)
-from .handle import HandleStatus, RequestHandle
+from .handle import HandleStatus
 from .metrics import ServingResult
 from .request import RequestRecord, synthesized_abort_record
 from .streaming_metrics import RecordPolicy
@@ -74,14 +74,12 @@ class Replica:
 
     def __init__(self, replica_id: int, engine: ServingEngine,
                  name: Optional[str] = None, node: Optional[GPUNode] = None,
-                 on_token: Optional[TokenCallback] = None,
                  on_request_complete: Optional[CompletionCallback] = None):
         self.id = replica_id
         self.name = name or f"replica-{replica_id}"
         self.node = node
         self.gateway = ServingGateway(
-            engine, on_token=on_token,
-            on_request_complete=on_request_complete)
+            engine, on_request_complete=on_request_complete)
         self.draining = False
 
     @property
@@ -200,8 +198,10 @@ class LineageAffinityBalancer(LoadBalancer):
     ``owner_of`` maps a model id to its affinity key — identity by default
     (per-variant stickiness); the multi-base router passes its lineage
     lookup so every variant of one base lands on that base's replica.
-    Unseen keys fall through to a least-outstanding choice; ``pin`` fixes a
-    key's home up front.
+    Unseen keys fall through to a least-outstanding choice.  ``pin`` fixes
+    a key's home up front: a pinned key routes only to its pinned replica
+    while that replica is routable, however loaded (it may be the only
+    replica able to serve the key, e.g. the one holding its base model).
 
     When a home replica drains, keys with a surviving secondary home
     promote it for free (the delta is already there); sole-residency
@@ -229,16 +229,19 @@ class LineageAffinityBalancer(LoadBalancer):
         """Fix an affinity key's home replica (survives :meth:`reset`)."""
         self._pinned[key] = replica
 
+    @staticmethod
+    def _routable(replica: Optional[Replica],
+                  replicas: Sequence[Replica]) -> bool:
+        return replica is not None and not replica.draining \
+            and any(r is replica for r in replicas)
+
     def _valid_homes(self, key: str,
                      replicas: Sequence[Replica]) -> List[Replica]:
-        """The key's residencies that are still routable, primary first."""
-        candidates: List[Optional[Replica]] = [
-            self._pinned.get(key), self._home.get(key)]
-        candidates.extend(self._secondary.get(key, ()))
+        """The key's learned residencies that are still routable,
+        primary first."""
         homes: List[Replica] = []
-        for cand in candidates:
-            if cand is not None and not cand.draining \
-                    and any(r is cand for r in replicas) \
+        for cand in [self._home.get(key), *self._secondary.get(key, ())]:
+            if self._routable(cand, replicas) \
                     and not any(h is cand for h in homes):
                 homes.append(cand)
         return homes
@@ -249,12 +252,14 @@ class LineageAffinityBalancer(LoadBalancer):
             # session turns outrank lineage: the conversation's prefix KV
             # lives on the replica that served its earlier turns
             conv = self._conv_home.get(conversation_id)
-            if conv is not None and not conv.draining \
-                    and any(r is conv for r in replicas):
+            if self._routable(conv, replicas):
                 return conv
         key = self._owner_of(model_id)
+        pinned = self._pinned.get(key)
         homes = self._valid_homes(key, replicas)
-        if not homes:
+        if self._routable(pinned, replicas):
+            chosen = pinned
+        elif not homes:
             chosen = self._fallback.choose(model_id, replicas)
             self._home[key] = chosen
         else:
@@ -529,7 +534,7 @@ class Autoscaler:
 # --------------------------------------------------------------------------- #
 # the cluster gateway
 # --------------------------------------------------------------------------- #
-class ClusterGateway:
+class ClusterGateway(GatewayBase):
     """Replica-count-agnostic serving frontend over a set of replicas.
 
     Exposes the single-gateway surface — ``submit`` / ``step`` /
@@ -538,6 +543,16 @@ class ClusterGateway:
     plus a hardware :class:`~repro.hardware.cluster.Cluster` (homogeneous
     replicas, autoscalable) or from pre-built engines via
     :meth:`from_engines` (heterogeneous replicas, e.g. one per base model).
+
+    ``submit`` routes a request at once (the balancer picks its replica;
+    its handle streams tokens from whichever replica serves it), while
+    ``ingest`` and ``replay`` defer each routing decision until the
+    simulation frontier reaches the request's arrival, so load-dependent
+    balancers and the autoscaler react to offered load, not to a trace
+    they can see into the future of.  Routing happens in arrival order:
+    with one replica (or a pinned lineage balancer) per-replica records
+    are bit-identical to ``engine.run(sub_trace)`` on the matching
+    partition.
     """
 
     def __init__(self, engine_factory: Optional[EngineFactory] = None,
@@ -560,11 +575,7 @@ class ClusterGateway:
         self.autoscaler = autoscaler
         self._factory = engine_factory
         self._cluster = cluster
-        self._on_token = on_token
-        self._on_complete = on_request_complete
         self._journal = journal
-        self._telemetry = None
-        self._next_id = 0
         self._next_replica_id = 0
         # trace requests awaiting routing: replay defers each routing
         # decision until the simulation frontier reaches the arrival, so
@@ -572,10 +583,6 @@ class ClusterGateway:
         self._unrouted = EventQueue()     # Arrival events on the kernel
         self._ticks = EventQueue()        # scheduled AutoscalerTicks
         self._admission_probe: Optional[Callable[[], int]] = None
-        self._listeners: List[CompletionCallback] = []
-        self._token_listeners: List[TokenCallback] = []
-        self._token_tap = False           # replica token fanout installed?
-        self._handles: Dict[int, RequestHandle] = {}
         self._orphans: List[RequestRecord] = []    # cancelled before routing
         self._recent_records: Deque[RequestRecord] = deque(maxlen=256)
         # the replicas (active and draining), the routed-request owner
@@ -583,6 +590,7 @@ class ClusterGateway:
         self.timelines: TimelineSet[Replica] = TimelineSet(
             wire=self._wire, on_drained=self._reap)
         self.retired: List[Replica] = []
+        super().__init__(on_token, on_request_complete)
         if not _fixed:
             if engine_factory is None:
                 raise ValueError(
@@ -600,11 +608,6 @@ class ClusterGateway:
         self._schedule_tick(0.0)
         if telemetry is not None:
             telemetry.attach_cluster(self)
-
-    @property
-    def telemetry(self):
-        """The attached :class:`repro.telemetry.Telemetry`, or None."""
-        return self._telemetry
 
     @classmethod
     def from_engines(cls, engines: Sequence[ServingEngine],
@@ -690,12 +693,12 @@ class ClusterGateway:
                      name: Optional[str] = None,
                      node: Optional[GPUNode] = None) -> Replica:
         replica = Replica(self._next_replica_id, engine, name=name,
-                          node=node, on_token=self._on_token,
+                          node=node,
                           on_request_complete=self._record_completion)
         self._next_replica_id += 1
         self.timelines.add(replica, replica.id)
-        if self._token_tap:
-            replica.gateway.add_token_listener(self._token_fanout)
+        if self._tapped:
+            replica.gateway.add_token_listener(self._fan_out_token)
         self.kernel.emit(ReplicaSpawn(time=self.kernel.now,
                                       replica_id=replica.id))
         return replica
@@ -763,60 +766,31 @@ class ClusterGateway:
             return RecordPolicy.KEEP_ALL
         return pool[0].engine.config.record_policy
 
-    def submit(self, model_id: str, prompt_len: int, output_len: int,
-               arrival_s: Optional[float] = None,
-               tenant_id: Optional[str] = None,
-               deadline_s: Optional[float] = None,
-               conversation_id: Optional[str] = None) -> RequestHandle:
-        """Submit one request; the balancer picks its replica.
+    def active_engines(self) -> List[ServingEngine]:
+        """The engines that accept new work: one per active replica."""
+        return [r.engine for r in self.active_replicas()]
 
-        Returns a :class:`~repro.serving.handle.RequestHandle` streaming
-        this request's tokens across whichever replica serves it;
-        ``deadline_s`` (relative to arrival) bounds its completion.
-        ``conversation_id`` tags the request as one turn of a session:
-        affinity balancers route it to the session's home replica, whose
-        prefix cache (when enabled) skips re-prefilling the shared
-        history.
-        """
-        if prompt_len < 1 or output_len < 1:
-            raise ValueError("prompt_len and output_len must be >= 1")
-        if deadline_s is not None and deadline_s <= 0:
-            raise ValueError("deadline_s must be > 0 when set")
-        active = self.active_replicas()
-        if not active:
+    def _check_open(self) -> None:
+        if not self.active_replicas():
             raise RuntimeError("no active replicas")
-        if arrival_s is None:
-            arrival_s = self.clock
-        absolute_deadline = None if deadline_s is None \
-            else float(arrival_s) + float(deadline_s)
-        request = TraceRequest(request_id=self._next_id, model_id=model_id,
-                               arrival_s=float(arrival_s),
-                               prompt_tokens=int(prompt_len),
-                               output_tokens=int(output_len),
-                               tenant_id=tenant_id,
-                               deadline_s=absolute_deadline,
-                               conversation_id=conversation_id)
-        self._next_id += 1
-        handle = RequestHandle(request.request_id, self, model_id,
-                               tenant_id=tenant_id,
-                               deadline_s=absolute_deadline)
-        self._handles[request.request_id] = handle
-        self._install_token_tap()
-        replica = self._choose_replica(request, active)
-        replica.gateway.ingest(request)
-        self.timelines.assign(request.request_id, replica)
-        return handle
 
-    def _choose_replica(self, request: TraceRequest,
-                        active: List[Replica]) -> Replica:
-        """One routing decision.  The conversation keyword is passed only
-        when the request carries a session tag, so balancer subclasses
-        predating sessions keep working on session-free traffic."""
+    def _arrival_now(self) -> float:
+        return self.clock
+
+    def _accept(self, request: TraceRequest) -> None:
+        """Route one request now.  The conversation keyword is passed
+        only when the request carries a session tag, so balancer
+        subclasses predating sessions keep working on session-free
+        traffic."""
+        active = self.active_replicas()
         if request.conversation_id is not None:
-            return self.balancer.choose(
+            replica = self.balancer.choose(
                 request.model_id, active,
                 conversation_id=request.conversation_id)
-        return self.balancer.choose(request.model_id, active)
+        else:
+            replica = self.balancer.choose(request.model_id, active)
+        replica.gateway.ingest(request)
+        self.timelines.assign(request.request_id, replica)
 
     def cancel(self, request_id: int, at_s: Optional[float] = None,
                reason: str = "cancel") -> None:
@@ -833,10 +807,6 @@ class ClusterGateway:
             at_s = self.sim_now
         self.timelines.cancel(request_id, float(at_s), reason)
 
-    def handle(self, request_id: int) -> Optional[RequestHandle]:
-        """The handle for a request submitted through this gateway."""
-        return self._handles.get(request_id)
-
     def ingest(self, request: TraceRequest) -> int:
         """Accept a fully-formed :class:`TraceRequest` verbatim.
 
@@ -849,36 +819,9 @@ class ClusterGateway:
         self._next_id = max(self._next_id, request.request_id + 1)
         return request.request_id
 
-    def add_completion_listener(self, listener: CompletionCallback) -> None:
-        """Register an extra per-request completion callback (fires after
-        the constructor's ``on_request_complete``); used by the admission
-        layer in :mod:`repro.serving.tenancy`."""
-        self._listeners.append(listener)
-
-    def add_token_listener(self, listener: TokenCallback) -> None:
-        """Register a per-token callback spanning every replica — the
-        streaming parity of :meth:`add_completion_listener`.  Survives
-        :meth:`reset`."""
-        self._token_listeners.append(listener)
-        self._install_token_tap()
-
-    def _install_token_tap(self) -> None:
-        """Lazily fan replica token callbacks into cluster-level
-        listeners and handles (installed on demand so replay paths
-        without handles pay no per-token overhead)."""
-        if self._token_tap:
-            return
-        self._token_tap = True
-        for replica in self.replicas + self.retired:
-            replica.gateway.add_token_listener(self._token_fanout)
-
-    def _token_fanout(self, request_id: int, model_id: str,
-                      n_generated: int, clock: float) -> None:
-        for listener in self._token_listeners:
-            listener(request_id, model_id, n_generated, clock)
-        handle = self._handles.get(request_id)
-        if handle is not None:
-            handle._push_token(clock, n_generated)
+    def _token_sources(self) -> List[ServingGateway]:
+        # replicas spawned later are tapped as they join (_add_replica)
+        return [r.gateway for r in self.replicas + self.retired]
 
     def set_admission_probe(self, probe: Callable[[], int]) -> None:
         """Let an admission layer report requests held at its frontier.
@@ -964,10 +907,7 @@ class ClusterGateway:
                 if pending is not None and pending[0] <= request.arrival_s:
                     self._retire_orphan(request, pending[1])
                     continue
-                active = self.active_replicas()
-                replica = self._choose_replica(request, active)
-                replica.gateway.ingest(request)
-                timelines.assign(rid, replica)
+                self._accept(request)
                 if pending is not None:
                     timelines.cancel(rid, *pending)
                 routed_any = True
@@ -980,12 +920,6 @@ class ClusterGateway:
         record = synthesized_abort_record(request, request.arrival_s, status)
         self._orphans.append(record)
         self._record_completion(record)
-
-    def run_until_drained(self) -> ServingResult:
-        """Serve until everything submitted so far has finished."""
-        while self.step():
-            pass
-        return self.result()
 
     def result(self) -> ServingResult:
         """Merged cluster-level snapshot of completions so far (records
@@ -1009,33 +943,6 @@ class ClusterGateway:
         return {r.name: r.gateway.result()
                 for r in self.retired + self.replicas}
 
-    def replay(self, trace: Trace,
-               cancels: Optional[CancelSchedule] = None) -> ServingResult:
-        """Serve a pre-materialized trace as if it arrived live.
-
-        Each request is routed only once the simulation frontier reaches
-        its arrival (see :meth:`_route_due`), so load-dependent balancers
-        and the autoscaler react to offered load, not to a trace they can
-        see into the future of.  Request ids and arrival times are
-        preserved verbatim, and routing happens in arrival order — with
-        one replica (or a pinned lineage balancer) per-replica records
-        are bit-identical to ``engine.run(sub_trace)`` on the matching
-        partition.  ``cancels`` schedules client cancellations as
-        ``(request_id, at_s)`` pairs; ``None`` replays bit-identically to
-        a pre-cancellation run.
-        """
-        self.reset()
-        max_id = -1
-        for request in trace:
-            self._unrouted.push(Arrival(time=request.arrival_s,
-                                        request=request))
-            max_id = max(max_id, request.request_id)
-        self._next_id = max_id + 1
-        if cancels is not None:
-            for request_id, at_s in cancels:
-                self.cancel(request_id, at_s=at_s)
-        return self.run_until_drained()
-
     def reset(self) -> None:
         """Fresh simulated timeline on the current replica set (replicas
         retired by earlier scale-downs are dropped, not resurrected).
@@ -1049,14 +956,11 @@ class ClusterGateway:
         self._ticks.clear()
         self._schedule_tick(0.0)
         self._recent_records.clear()
-        self._handles.clear()
         self._orphans.clear()
-        self._next_id = 0
         self.balancer.reset()
         if self.autoscaler is not None:
             self.autoscaler.reset()
-        if self._telemetry is not None:
-            self._telemetry.reset()
+        super().reset()
 
     # ------------------------------------------------------------------ #
     # cluster-level telemetry
@@ -1079,21 +983,13 @@ class ClusterGateway:
             else:
                 self.balancer.on_abandoned(record.model_id)
             self.timelines.release(record.request_id)
-        if self._on_complete is not None:
-            self._on_complete(record)
-        for listener in self._listeners:
-            listener(record)
-        if self.record_policy is RecordPolicy.KEEP_ALL:
-            handle = self._handles.get(record.request_id)
-        else:
-            # releasing policy: drop the routing/handle entries for every
-            # terminal request so cluster maps stay O(active).  (A stale
-            # cancel against a dropped owner parks in the timeline set;
-            # rare, bounded by the number of late cancels.)
+        elif self.record_policy is not RecordPolicy.KEEP_ALL:
+            # releasing policy: drop the routing entry of every terminal
+            # request so cluster maps stay O(active).  (A stale cancel
+            # against a dropped owner parks in the timeline set; rare,
+            # bounded by the number of late cancels.)
             self.timelines.release(record.request_id)
-            handle = self._handles.pop(record.request_id, None)
-        if handle is not None:
-            handle._finish(record)
+        self._deliver(record)
 
     def _status_of(self, request_id: int) -> HandleStatus:
         """Live status for a handle: delegate to the owning replica, or

@@ -28,12 +28,15 @@ key, a comparison with a record's ``request_id``) reads
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, Iterator, List, Optional, Protocol, Tuple
+from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Tuple
 
 from ..sim import sanitizer as _sanitizer
 from .request import RequestRecord
 
-__all__ = ["HandleStatus", "RequestHandle", "TokenEvent", "HandleGateway"]
+if TYPE_CHECKING:  # the gateway module imports this one
+    from .gateway import GatewayBase
+
+__all__ = ["HandleStatus", "RequestHandle", "TokenEvent"]
 
 #: one streamed token observation: (simulated clock, tokens generated so far)
 TokenEvent = Tuple[float, int]
@@ -59,22 +62,6 @@ class HandleStatus(str, Enum):
                         HandleStatus.EXPIRED, HandleStatus.SHED)
 
 
-class HandleGateway(Protocol):
-    """What a handle needs from the gateway that issued it: stepping,
-    cancellation routing, and live status lookup.  All three gateways
-    (:class:`~repro.serving.gateway.ServingGateway`,
-    :class:`~repro.serving.cluster.ClusterGateway`,
-    :class:`~repro.serving.tenancy.TenantGateway`) satisfy this."""
-
-    def step(self) -> bool: ...  # pragma: no cover - protocol
-
-    def cancel(self, request_id: int,
-               at_s: Optional[float] = None) -> None: ...  # pragma: no cover
-
-    def _status_of(
-            self, request_id: int) -> "HandleStatus": ...  # pragma: no cover
-
-
 #: RequestRecord.status value -> terminal HandleStatus
 _RECORD_STATUS = {
     "finished": HandleStatus.FINISHED,
@@ -96,7 +83,7 @@ class RequestHandle:
     __slots__ = ("_id", "_gateway", "_model_id", "_tenant_id", "_deadline_s",
                  "_events", "_record", "_callbacks")
 
-    def __init__(self, request_id: int, gateway: HandleGateway,
+    def __init__(self, request_id: int, gateway: GatewayBase,
                  model_id: str, tenant_id: Optional[str] = None,
                  deadline_s: Optional[float] = None) -> None:
         self._id = int(request_id)

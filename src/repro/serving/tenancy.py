@@ -65,10 +65,10 @@ from ..sim import (Arrival, BucketRefill, Cancel, EventQueue, KeyedHeap,
                    SimKernel)
 from ..sim import events as sim_events
 from ..sim import sanitizer as _sanitizer
-from ..workload.spec import Trace, TraceRequest
+from ..workload.spec import TraceRequest
 from .cluster import ClusterGateway
-from .gateway import CancelSchedule, ServingGateway, TokenCallback
-from .handle import HandleStatus, RequestHandle
+from .gateway import GatewayBase, ServingGateway
+from .handle import HandleStatus
 from .metrics import ServingResult, summarize
 from .request import (DEFAULT_TENANT, RequestRecord,
                       synthesized_abort_record)
@@ -683,7 +683,7 @@ class AdmissionController:
         }
 
 
-class TenantGateway:
+class TenantGateway(GatewayBase):
     """Admission-controlled frontend over a serving or cluster gateway.
 
     Exposes the familiar ``submit`` / ``step`` / ``run_until_drained`` /
@@ -699,6 +699,19 @@ class TenantGateway:
     under FCFS every queued request is ahead of a newcomer; under VTC a
     tenant's expected wait scales with its *own* backlog over its
     weighted fair share.
+
+    ``submit`` makes the admission decision for a request arriving "now"
+    immediately (readable via :meth:`decision`; a shed or rejected
+    request's handle is terminal at once, status ``SHED``).  A request's
+    ``deadline_s`` also holds at the frontier: one still held there when
+    its deadline passes expires in place — its bucket charge refunded,
+    its quota slot released — and a dispatched one is aborted mid-batch
+    by the owning engine.  Completion listeners see every terminal
+    record: served ones, frontier cancels/expiries and a ``shed`` record
+    for each shed *or rejected* request (:meth:`decision` tells which).
+    In the pass-through configuration (default tenant, FCFS, no limits)
+    ``replay`` is record-identical to replaying the trace on the wrapped
+    gateway directly.
     """
 
     def __init__(self, gateway: Union[ServingGateway, ClusterGateway],
@@ -723,28 +736,19 @@ class TenantGateway:
             # as offered load in the cluster's watermark signal
             gateway.set_admission_probe(lambda: self.controller.total_queued)
         self._pending = EventQueue()      # offered-but-not-due Arrivals
-        self._token_listeners: List[TokenCallback] = []
-        self._token_tap = False           # inner token fanout installed?
         self._cancels = EventQueue()      # frontier-level Cancel events
         #: reason="cancel" schedules to forward when a request dispatches
         self._scheduled_cancels: Dict[int, Tuple[float, str]] = {}
         self._dispatched_ids: set = set()
         self._terminal_ids: set = set()   # resolved at this layer/below
         self._frontier_records: List[RequestRecord] = []
-        self._handles: Dict[int, RequestHandle] = {}
-        self._next_id = 0
         self._floor = 0.0                 # admission-time frontier floor
         self._dispatched_unfinished = 0
         self._recent_finish: Deque[float] = deque(
             maxlen=8 * _MIN_COMPLETIONS_FOR_PREDICTION)
-        self._telemetry = None
+        super().__init__()
         if telemetry is not None:
             telemetry.attach_tenancy(self)
-
-    @property
-    def telemetry(self):
-        """The attached :class:`repro.telemetry.Telemetry`, or None."""
-        return self._telemetry
 
     # ------------------------------------------------------------------ #
     # the single-gateway surface
@@ -767,52 +771,17 @@ class TenantGateway:
     @property
     def record_policy(self) -> RecordPolicy:
         """The wrapped gateway's record-retention policy."""
-        return getattr(self.inner, "record_policy", RecordPolicy.KEEP_ALL)
+        return self.inner.record_policy
 
-    def submit(self, model_id: str, prompt_len: int, output_len: int,
-               arrival_s: Optional[float] = None,
-               tenant_id: Optional[str] = None,
-               deadline_s: Optional[float] = None,
-               conversation_id: Optional[str] = None) -> RequestHandle:
-        """Submit one request for a tenant; returns its
-        :class:`~repro.serving.handle.RequestHandle`.
+    def _arrival_now(self) -> float:
+        return max(self.inner.clock, self._floor)
 
-        The admission decision for a request arriving "now" is made
-        immediately and is readable via :meth:`decision` (a shed or
-        rejected request's handle is terminal at once, status ``SHED``).
-        ``deadline_s`` (relative to arrival) bounds completion: a
-        request still held at the admission frontier when its deadline
-        passes expires there — its bucket charge refunded, its quota
-        slot released — and a dispatched one is aborted mid-batch by the
-        owning engine.
-        """
-        if prompt_len < 1 or output_len < 1:
-            raise ValueError("prompt_len and output_len must be >= 1")
-        if deadline_s is not None and deadline_s <= 0:
-            raise ValueError("deadline_s must be > 0 when set")
-        if arrival_s is None:
-            arrival_s = max(self.inner.clock, self._floor)
-        absolute_deadline = None if deadline_s is None \
-            else float(arrival_s) + float(deadline_s)
-        request = TraceRequest(request_id=self._next_id, model_id=model_id,
-                               arrival_s=float(arrival_s),
-                               prompt_tokens=int(prompt_len),
-                               output_tokens=int(output_len),
-                               tenant_id=tenant_id,
-                               deadline_s=absolute_deadline,
-                               conversation_id=conversation_id)
-        self._next_id += 1
-        handle = RequestHandle(request.request_id, self, model_id,
-                               tenant_id=tenant_id,
-                               deadline_s=absolute_deadline)
-        self._handles[request.request_id] = handle
-        self._install_token_tap()
+    def _accept(self, request: TraceRequest) -> None:
         self._admit_request(request)
         now = self._frontier()
         self._apply_due_cancels(now)
         self._offer_due(now)
         self._dispatch(now)
-        return handle
 
     def ingest(self, request: TraceRequest) -> int:
         """Queue a fully-formed request (verbatim id and arrival)."""
@@ -855,32 +824,8 @@ class TenantGateway:
         if existing is None or at_s < existing[0]:
             self._scheduled_cancels[request_id] = (float(at_s), reason)
 
-    def handle(self, request_id: int) -> Optional[RequestHandle]:
-        """The handle for a request submitted through this gateway."""
-        return self._handles.get(request_id)
-
-    def add_token_listener(self, listener: TokenCallback) -> None:
-        """Register a per-token callback spanning the wrapped gateway —
-        the streaming parity of ``add_completion_listener``.  Survives
-        :meth:`reset`."""
-        self._token_listeners.append(listener)
-        self._install_token_tap()
-
-    def _install_token_tap(self) -> None:
-        """Lazily fan inner token events into this layer's listeners and
-        handles (on demand, so replay paths stay hook-free)."""
-        if self._token_tap:
-            return
-        self._token_tap = True
-        self.inner.add_token_listener(self._token_fanout)
-
-    def _token_fanout(self, request_id: int, model_id: str,
-                      n_generated: int, clock: float) -> None:
-        for listener in self._token_listeners:
-            listener(request_id, model_id, n_generated, clock)
-        handle = self._handles.get(request_id)
-        if handle is not None:
-            handle._push_token(clock, n_generated)
+    def _token_sources(self) -> List[GatewayBase]:
+        return [self.inner]
 
     def decision(self, request_id: int) -> Optional[AdmissionDecision]:
         """The admission decision for a request (None while pending)."""
@@ -919,11 +864,6 @@ class TenantGateway:
             return True
         return bool(offered or dispatched or cancelled) and \
             self._next_event_s() is not None
-
-    def run_until_drained(self) -> ServingResult:
-        while self.step():
-            pass
-        return self.result()
 
     def result(self) -> ServingResult:
         """The wrapped gateway's result plus admission telemetry.
@@ -996,26 +936,6 @@ class TenantGateway:
                                system=system)
         return cost_per_tenant(cost, self.controller.stats)
 
-    def replay(self, trace: Trace,
-               cancels: Optional[CancelSchedule] = None) -> ServingResult:
-        """Serve a pre-materialized (optionally tenant-tagged) trace.
-
-        Every request faces admission when the simulation frontier
-        reaches its arrival.  In the pass-through configuration (default
-        tenant, FCFS, no limits) the records are identical to replaying
-        the trace on the wrapped gateway directly.  ``cancels`` schedules
-        client cancellations as ``(request_id, at_s)`` pairs — the
-        impatient-client model; ``None`` replays bit-identically to a
-        pre-cancellation run.
-        """
-        self.reset()
-        for request in trace:
-            self.ingest(request)
-        if cancels is not None:
-            for request_id, at_s in cancels:
-                self.cancel(request_id, at_s=at_s)
-        return self.run_until_drained()
-
     def reset(self) -> None:
         self.inner.reset()
         self.controller.reset()
@@ -1026,13 +946,10 @@ class TenantGateway:
         self._dispatched_ids.clear()
         self._terminal_ids.clear()
         self._frontier_records.clear()
-        self._handles.clear()
         self._recent_finish.clear()
-        self._next_id = 0
         self._floor = 0.0
         self._dispatched_unfinished = 0
-        if self._telemetry is not None:
-            self._telemetry.reset()      # idempotent (inner resets it too)
+        super().reset()
 
     # ------------------------------------------------------------------ #
     # handle plumbing
@@ -1118,9 +1035,7 @@ class TenantGateway:
         record = synthesized_abort_record(request, at_s, status)
         self._frontier_records.append(record)
         self._terminal_ids.add(request.request_id)
-        handle = self._handles.get(request.request_id)
-        if handle is not None:
-            handle._finish(record)
+        self._deliver(record)
 
     def _offer_due(self, now: float) -> int:
         count = 0
@@ -1136,18 +1051,18 @@ class TenantGateway:
         return count
 
     def _resolve_dropped(self, request: TraceRequest) -> None:
-        """A shed/rejected request is terminal immediately: its handle
-        (if any) gets a synthesized ``shed`` record.  Dropped requests
-        never enter :meth:`result` — they are visible through handles
-        and :attr:`AdmissionController.stats`, keeping served-side
-        metrics identical to the pre-handle behavior."""
+        """A shed/rejected request is terminal immediately, with a
+        synthesized ``shed`` record — rejected requests too; only
+        :meth:`decision` tells the two apart.  Dropped requests never
+        enter :meth:`result` — they are visible through handles,
+        completion listeners and :attr:`AdmissionController.stats`,
+        keeping served-side metrics identical to the pre-handle
+        behavior."""
         rid = request.request_id
         self._terminal_ids.add(rid)
         self._scheduled_cancels.pop(rid, None)
-        handle = self._handles.get(rid)
-        if handle is not None:
-            handle._finish(synthesized_abort_record(
-                request, request.arrival_s, "shed"))
+        self._deliver(synthesized_abort_record(
+            request, request.arrival_s, "shed"))
 
     def _dispatch(self, now: float) -> int:
         controller = self.controller
@@ -1182,40 +1097,22 @@ class TenantGateway:
 
     def _effective_depth(self) -> Optional[int]:
         depth = self.controller.engine_queue_depth
+        if depth is None and self.controller.policy == "fcfs":
+            return None
+        engines = self.inner.active_engines()
         if depth is None:
-            if self.controller.policy == "fcfs":
-                return None
             # auto depth: one full batch per replica keeps the engines
             # saturated while every excess request waits at the frontier
             # in fair order (deeper engine queues would re-serialize the
             # backlog FCFS inside the engine)
-            depth = self._engine_batch_size() or _DEFAULT_VTC_DEPTH
-        if isinstance(self.inner, ClusterGateway):
-            return depth * max(1, len(self.inner.active_replicas()))
-        return depth
-
-    def _engine_batch_size(self) -> Optional[int]:
-        inner = self.inner
-        if isinstance(inner, ClusterGateway):
-            active = inner.active_replicas()
-            engine = active[0].engine if active else None
-        else:
-            engine = inner.engine
-        if engine is None:
-            return None
-        scheduler_config = getattr(engine, "scheduler_config", None)
-        if scheduler_config is not None:
-            return scheduler_config.max_batch_requests
-        return getattr(engine, "max_batch_requests", None)
+            depth = (_batch_size(engines[0]) if engines else None) \
+                or _DEFAULT_VTC_DEPTH
+        return depth * max(1, len(engines))
 
     def _bump_idle_engines(self, now: float) -> None:
-        inner = self.inner
-        if isinstance(inner, ClusterGateway):
-            for replica in inner.active_replicas():
-                if replica.unfinished == 0:
-                    replica.engine.clock = max(replica.engine.clock, now)
-        elif inner.unfinished == 0:
-            inner.engine.clock = max(inner.engine.clock, now)
+        for engine in self.inner.active_engines():
+            if engine.unfinished == 0:
+                engine.clock = max(engine.clock, now)
 
     # ------------------------------------------------------------------ #
     # shed prediction
@@ -1257,11 +1154,12 @@ class TenantGateway:
         self.controller.on_complete(record)
         if not record.finished:
             self.controller.refund_unserved(record)
-        if self.record_policy is RecordPolicy.KEEP_ALL:
-            handle = self._handles.get(record.request_id)
-        else:
-            # releasing policy: keep the frontier handle map O(active)
-            # (terminal handles answer from their own record)
-            handle = self._handles.pop(record.request_id, None)
-        if handle is not None:
-            handle._finish(record)
+        self._deliver(record)
+
+
+def _batch_size(engine) -> Optional[int]:
+    """An engine's batch-size limit, if it declares one."""
+    scheduler_config = getattr(engine, "scheduler_config", None)
+    if scheduler_config is not None:
+        return scheduler_config.max_batch_requests
+    return getattr(engine, "max_batch_requests", None)

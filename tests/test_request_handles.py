@@ -54,16 +54,17 @@ def make_factory(mgr, engine_name, idle_quantum_s=None):
     return factory
 
 
-def build_wrapper(wrapper, mgr, engine_name, idle_quantum_s=None):
+def build_wrapper(wrapper, mgr, engine_name, idle_quantum_s=None,
+                  on_token=None):
     factory = make_factory(mgr, engine_name, idle_quantum_s)
     if wrapper == "gateway":
-        return ServingGateway(factory(None))
+        return ServingGateway(factory(None), on_token=on_token)
     kind, _, arg = wrapper.partition(":")
     balancer = arg if kind == "cluster" else "least-outstanding"
     cluster = ClusterGateway(
         engine_factory=factory,
         cluster=Cluster.from_name("a800", 2, 1), n_replicas=2,
-        balancer=balancer)
+        balancer=balancer, on_token=on_token)
     if kind == "tenant":
         return TenantGateway(cluster, policy=arg or "fcfs")
     return cluster
@@ -518,7 +519,28 @@ class TestCancellationDeterminism:
         schedule = impatient_cancel_schedule(
             trace, PatienceModel(mean_s=6.0), seed=5)
         mgr = make_manager()
-        skip = build_wrapper(wrapper, mgr, engine_name, None)
+        fired = []
+        # a tenant gateway takes no callbacks: its inner cluster's
+        # constructor on_token fires ahead of the tenant's listeners
+        skip = build_wrapper(wrapper, mgr, engine_name, None,
+                             on_token=lambda rid, mid, n, t:
+                             fired.append(("ctor", rid, n)))
+        skip.add_token_listener(
+            lambda rid, mid, n, t: fired.append(("listener", rid, n)))
+        # every wrapper shares one submit: rejects take no id
+        with pytest.raises(ValueError):
+            skip.submit("variant-00", 0, 4)
+        with pytest.raises(ValueError):
+            skip.submit("variant-00", 32, 4, deadline_s=0.0)
+        handles = [skip.submit(f"variant-{i:02d}", 32, 3) for i in range(2)]
+        assert [h.id for h in handles] == [0, 1]
+        assert all(skip.handle(h.id) is h for h in handles)
+        skip.run_until_drained()
+        # each callback sees every token once, the constructor's first
+        assert [kind for kind, _, _ in fired] == ["ctor", "listener"] * 6
+        assert fired[0::2] == [("ctor", *e[1:]) for e in fired[1::2]]
+        assert sorted(e[1:] for e in fired[0::2]) == \
+            [(rid, n) for rid in (0, 1) for n in (1, 2, 3)]
         first = [record_key(r) for r in
                  skip.replay(trace, cancels=schedule).records]
         second = [record_key(r) for r in

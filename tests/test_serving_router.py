@@ -129,10 +129,22 @@ class TestOnlinePath:
         assert owners[rid_p] == "pythia"
         assert owners[rid_l] == "llama"
 
+    def test_overloaded_group_keeps_its_lineage(self, router):
+        """A pinned base keeps its lineage however far its queue runs
+        ahead: the other base's replica cannot serve these variants."""
+        gateway = router.gateway()
+        for i in range(12):
+            gateway.submit(f"llama-ft-{'ab'[i % 2]}", 16, 4, arrival_s=0.0)
+        gateway.run_until_drained()
+        by_group = gateway.results_by_replica()
+        assert by_group["llama"].n_requests == 12
+        assert by_group["pythia"].n_requests == 0
+
     def test_unknown_model_rejected_online(self, router):
         gateway = router.gateway()
         with pytest.raises(KeyError):
             gateway.submit("mystery", 8, 4)
+        assert gateway._handles == {}
 
 
 class TestValidation:

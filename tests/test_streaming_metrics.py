@@ -367,6 +367,28 @@ class TestRecordPolicies:
         assert result.n_requests == 160
         assert gateway._handles == {}
 
+    def test_drop_releases_frontier_resolved_tenant_handles(self):
+        """Handles that end at the admission frontier — shed, or
+        cancelled before dispatch — are released under DROP as well."""
+        gateway = TenantGateway(
+            build_gateway("deltazip", "plain", RecordPolicy.DROP),
+            tenants=[Tenant("t0", ttft_slo_s=0.05), Tenant("t1")],
+            shed=True)
+        trace = make_trace(n=400)
+        handles = [gateway.submit(r.model_id, r.prompt_tokens,
+                                  r.output_tokens, arrival_s=r.arrival_s,
+                                  tenant_id=r.tenant_id)
+                   for r in trace]
+        victim = handles[-1]
+        victim.cancel(at_s=trace.requests[-1].arrival_s - 0.5)
+        gateway.run_until_drained()
+        statuses = [h.record().status for h in handles]
+        assert "shed" in statuses
+        assert victim.record().status == "cancelled"
+        assert all(h.done and h.record().request_id == h.id
+                   for h in handles)
+        assert gateway._handles == {}
+
     def test_merge_composes_streams(self):
         trace = make_trace()
         half_a = Trace(requests=trace.requests[:80],
